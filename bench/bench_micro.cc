@@ -8,6 +8,8 @@
 #include "core/ambiguity.h"
 #include "core/context_vector.h"
 #include "core/disambiguator.h"
+#include "core/label_space.h"
+#include "core/scores.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "sim/combined.h"
@@ -33,10 +35,17 @@ const std::string& ShakespeareXml() {
   return *xml;
 }
 
+/// The label id space ShakespeareTree() is interned through; a
+/// disambiguator run on that tree must resolve ids through it too.
+xsdf::core::LabelSpace& Space() {
+  static auto* space = new xsdf::core::LabelSpace(&Network());
+  return *space;
+}
+
 const xsdf::xml::LabeledTree& ShakespeareTree() {
   static const auto* tree = [] {
-    auto result =
-        xsdf::core::BuildTreeFromXml(ShakespeareXml(), Network());
+    auto result = xsdf::core::BuildTreeFromXml(ShakespeareXml(), Network(),
+                                               true, &Space());
     return new xsdf::xml::LabeledTree(std::move(result).value());
   }();
   return *tree;
@@ -107,18 +116,19 @@ void BM_SimilarityCached(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityCached);
 
-void BM_BuildXmlSphere(benchmark::State& state) {
+void BM_BuildXmlIdSphere(benchmark::State& state) {
   const auto& tree = ShakespeareTree();
   int radius = static_cast<int>(state.range(0));
   xsdf::xml::NodeId center =
       static_cast<xsdf::xml::NodeId>(tree.size() / 2);
   for (auto _ : state) {
-    auto sphere = xsdf::core::BuildXmlSphere(tree, center, radius);
-    xsdf::core::ContextVector vector(sphere);
+    auto sphere =
+        xsdf::core::BuildXmlIdSphere(tree, tree.label_ids(), center, radius);
+    xsdf::core::IdContextVector vector(sphere);
     benchmark::DoNotOptimize(vector);
   }
 }
-BENCHMARK(BM_BuildXmlSphere)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_BuildXmlIdSphere)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_AmbiguityDegree(benchmark::State& state) {
   const auto& tree = ShakespeareTree();
@@ -135,6 +145,7 @@ BENCHMARK(BM_AmbiguityDegree);
 void BM_DisambiguateDocument(benchmark::State& state) {
   xsdf::core::DisambiguatorOptions options;
   options.sphere_radius = static_cast<int>(state.range(0));
+  options.label_space = &Space();
   xsdf::core::Disambiguator system(&Network(), options);
   const auto& tree = ShakespeareTree();
   for (auto _ : state) {
@@ -150,10 +161,10 @@ void BM_ContextBasedScore(benchmark::State& state) {
   const auto& network = Network();
   auto senses = network.Senses("star");
   const auto& tree = ShakespeareTree();
-  auto sphere = xsdf::core::BuildXmlSphere(tree, 5, 2);
-  xsdf::core::ContextVector vector(sphere);
+  xsdf::core::IdContextVector vector(
+      xsdf::core::BuildXmlIdSphere(tree, tree.label_ids(), 5, 2));
   for (auto _ : state) {
-    double score = xsdf::core::ContextScore(
+    double score = xsdf::core::IdContextScore(
         network, {senses[0], xsdf::wordnet::kInvalidConcept}, vector, 2);
     benchmark::DoNotOptimize(score);
   }

@@ -14,71 +14,6 @@ double StructuralProximity(int distance, int radius) {
                    static_cast<double>(radius + 1);
 }
 
-ContextVector::ContextVector(const Sphere& sphere,
-                             bool uniform_proximity)
-    : sphere_size_(sphere.size()) {
-  if (sphere.members.empty()) return;
-  // Freq(l, S) = sum of structural proximities of members labelled l,
-  // accumulated in member order into first-occurrence-ordered entries
-  // (the id pipeline accumulates in the same order — bit-identity).
-  std::unordered_map<std::string, size_t> index;
-  index.reserve(sphere.members.size());
-  entries_.reserve(sphere.members.size());
-  for (const SphereMember& member : sphere.members) {
-    auto [it, inserted] = index.emplace(member.label, entries_.size());
-    if (inserted) entries_.emplace_back(member.label, 0.0);
-    entries_[it->second].second +=
-        uniform_proximity
-            ? 1.0
-            : StructuralProximity(member.distance, sphere.radius);
-  }
-  // w(l) = Freq / Max_Freq = 2*Freq / (|S| + 1)   (Eq. 5).
-  double denom = static_cast<double>(sphere.size()) + 1.0;
-  for (auto& [label, f] : entries_) {
-    f = std::min(2.0 * f / denom, 1.0);
-  }
-}
-
-int ContextVector::FindEntry(const std::string& label) const {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].first == label) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-double ContextVector::Weight(const std::string& label) const {
-  int i = FindEntry(label);
-  return i < 0 ? 0.0 : entries_[static_cast<size_t>(i)].second;
-}
-
-double ContextVector::Cosine(const ContextVector& other) const {
-  double dot = 0.0;
-  double norm_a = 0.0;
-  double norm_b = 0.0;
-  for (const auto& [label, w] : entries_) {
-    norm_a += w * w;
-    double v = other.Weight(label);
-    dot += w * v;
-  }
-  for (const auto& [label, w] : other.entries_) norm_b += w * w;
-  if (norm_a <= 0.0 || norm_b <= 0.0) return 0.0;
-  return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
-}
-
-double ContextVector::Jaccard(const ContextVector& other) const {
-  double min_sum = 0.0;
-  double max_sum = 0.0;
-  for (const auto& [label, w] : entries_) {
-    double v = other.Weight(label);
-    min_sum += std::min(w, v);
-    max_sum += std::max(w, v);
-  }
-  for (const auto& [label, v] : other.entries_) {
-    if (FindEntry(label) < 0) max_sum += v;
-  }
-  return max_sum <= 0.0 ? 0.0 : min_sum / max_sum;
-}
-
 IdContextVector::IdContextVector(const IdSphere& sphere,
                                  bool uniform_proximity) {
   Assign(sphere, uniform_proximity);
@@ -92,8 +27,9 @@ void IdContextVector::Assign(const IdSphere& sphere,
   sorted_ids_.clear();
   sphere_size_ = sphere.size();
   if (sphere.empty()) return;
-  // Same accumulation as ContextVector: per-label sums in member
-  // order, entries in first-occurrence order. Spheres are small (a few
+  // Freq(l, S) = sum of structural proximities of members labelled l,
+  // accumulated in member order into first-occurrence-ordered entries.
+  // Spheres are small (a few
   // dozen distinct labels), so first-occurrence dedup is a SIMD scan
   // over the flat id array built so far — cheaper than a hash map at
   // this size — with a hash-map fallback for pathologically wide
@@ -128,6 +64,7 @@ void IdContextVector::Assign(const IdSphere& sphere,
             ? 1.0
             : StructuralProximity(sphere.distances[m], sphere.radius);
   }
+  // w(l) = Freq / Max_Freq = 2*Freq / (|S| + 1)   (Eq. 5).
   double denom = static_cast<double>(sphere.size()) + 1.0;
   for (double& f : weights_) {
     f = std::min(2.0 * f / denom, 1.0);
@@ -181,9 +118,9 @@ MatchScratch& LocalMatchScratch() {
 double IdContextVector::Cosine(const IdContextVector& other) const {
   const size_t n = ids_.size();
   if (simd::ActiveLevel() == simd::Level::kScalar) {
-    // Scalar reference path: per-id binary search, exactly the legacy
-    // loop. The vector path below must reproduce it bit for bit (the
-    // equivalence tests compare the two directly).
+    // Scalar reference path: per-id binary search. The vector path
+    // below must reproduce it bit for bit (the equivalence tests
+    // compare the two directly).
     double dot = 0.0;
     double norm_a = 0.0;
     double norm_b = 0.0;
@@ -289,26 +226,6 @@ double IdContextVector::Jaccard(const IdContextVector& other) const {
   return max_sum <= 0.0 ? 0.0 : min_sum / max_sum;
 }
 
-Sphere BuildXmlSphere(const xml::LabeledTree& tree, xml::NodeId center,
-                      int radius, bool exclude_tokens) {
-  Sphere sphere;
-  sphere.radius = radius;
-  std::vector<std::vector<xml::NodeId>> rings = tree.Rings(center, radius);
-  size_t total = 0;
-  for (const auto& ring : rings) total += ring.size();
-  sphere.members.reserve(total);
-  for (int d = 0; d < static_cast<int>(rings.size()); ++d) {
-    for (xml::NodeId id : rings[static_cast<size_t>(d)]) {
-      if (exclude_tokens && id != center &&
-          tree.node(id).kind == xml::TreeNodeKind::kToken) {
-        continue;
-      }
-      sphere.members.push_back({tree.node(id).label, d});
-    }
-  }
-  return sphere;
-}
-
 IdSphere BuildXmlIdSphere(const xml::LabeledTree& tree,
                           std::span<const uint32_t> label_ids,
                           xml::NodeId center, int radius,
@@ -372,23 +289,6 @@ void BuildXmlIdSphere(const xml::LabeledTree& tree,
   }
 }
 
-Sphere BuildConceptSphere(const wordnet::SemanticNetwork& network,
-                          wordnet::ConceptId center, int radius) {
-  Sphere sphere;
-  sphere.radius = radius;
-  std::vector<std::vector<wordnet::ConceptId>> rings =
-      network.Rings(center, radius);
-  size_t total = 0;
-  for (const auto& ring : rings) total += ring.size();
-  sphere.members.reserve(total);
-  for (int d = 0; d < static_cast<int>(rings.size()); ++d) {
-    for (wordnet::ConceptId id : rings[static_cast<size_t>(d)]) {
-      sphere.members.push_back({network.GetConcept(id).label(), d});
-    }
-  }
-  return sphere;
-}
-
 IdSphere BuildConceptIdSphere(const wordnet::SemanticNetwork& network,
                               wordnet::ConceptId center, int radius) {
   IdSphere sphere;
@@ -406,32 +306,10 @@ IdSphere BuildConceptIdSphere(const wordnet::SemanticNetwork& network,
   return sphere;
 }
 
-Sphere BuildCompoundConceptSphere(const wordnet::SemanticNetwork& network,
-                                  wordnet::ConceptId p,
-                                  wordnet::ConceptId q, int radius) {
-  // Union keyed by concept id, keeping the smaller distance.
-  std::map<wordnet::ConceptId, int> distances;
-  for (wordnet::ConceptId center : {p, q}) {
-    std::vector<std::vector<wordnet::ConceptId>> rings =
-        network.Rings(center, radius);
-    for (int d = 0; d < static_cast<int>(rings.size()); ++d) {
-      for (wordnet::ConceptId id : rings[static_cast<size_t>(d)]) {
-        auto [it, inserted] = distances.emplace(id, d);
-        if (!inserted && d < it->second) it->second = d;
-      }
-    }
-  }
-  Sphere sphere;
-  sphere.radius = radius;
-  for (const auto& [id, d] : distances) {
-    sphere.members.push_back({network.GetConcept(id).label(), d});
-  }
-  return sphere;
-}
-
 IdSphere BuildCompoundConceptIdSphere(
     const wordnet::SemanticNetwork& network, wordnet::ConceptId p,
     wordnet::ConceptId q, int radius) {
+  // Union keyed by concept id, keeping the smaller distance.
   std::map<wordnet::ConceptId, int> distances;
   for (wordnet::ConceptId center : {p, q}) {
     std::vector<std::vector<wordnet::ConceptId>> rings =

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
+#include "common/check.h"
 #include "common/strings.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
-#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xsdf::core {
@@ -16,6 +16,8 @@ Disambiguator::Disambiguator(const wordnet::SemanticNetwork* network,
     : network_(network),
       options_(options),
       measure_(options.EffectiveMeasureConfig()) {
+  XSDF_DCHECK(network_->finalized(),
+              "the disambiguator needs a finalized network");
   measure_.set_external_cache(options_.similarity_cache);
   if (options_.label_space != nullptr) {
     label_space_ = options_.label_space;
@@ -39,26 +41,15 @@ Disambiguator::Disambiguator(const wordnet::SemanticNetwork* network,
   }
 }
 
-uint32_t Disambiguator::LabelIdFor(const xml::LabeledTree& tree,
-                                   xml::NodeId id) const {
-  if (tree.has_label_ids()) return tree.label_id(id);
-  return label_space_->Resolve(tree.node(id).label);
-}
-
 std::shared_ptr<const SenseEntry> Disambiguator::CandidatesFor(
     const xml::LabeledTree& tree, xml::NodeId id) const {
-  const std::string& label = tree.node(id).label;
   if (options_.sense_inventory != nullptr) {
-    return options_.sense_inventory->Entry(*network_, LabelIdFor(tree, id),
-                                           label);
+    return options_.sense_inventory->Entry(*network_, tree.label_id(id),
+                                           tree.node(id).label);
   }
   auto entry = std::make_shared<SenseEntry>();
-  if (options_.use_id_frontend && tree.has_label_ids()) {
-    entry->candidates =
-        EnumerateCandidatesById(*label_space_, tree.label_id(id));
-  } else {
-    entry->candidates = EnumerateCandidates(*network_, label);
-  }
+  entry->candidates =
+      EnumerateCandidatesById(*label_space_, tree.label_id(id));
   return entry;
 }
 
@@ -76,6 +67,7 @@ CombinationWeights Disambiguator::EffectiveCombination() const {
 
 std::vector<double> Disambiguator::ScoreCandidates(
     const xml::LabeledTree& tree, xml::NodeId id) const {
+  if (!tree.has_label_ids()) return {};
   return ScoreCandidatesImpl(tree, id, CandidatesFor(tree, id)->candidates);
 }
 
@@ -84,32 +76,17 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
     const std::vector<SenseCandidate>& candidates, StageAccum* accum,
     NodeAudit* audit) const {
   const uint64_t t_start = accum != nullptr ? obs::MonotonicNowNs() : 0;
-  // The id front end needs per-node label ids; trees built without
-  // them (ad-hoc callers) take the legacy string path, which is
-  // bit-identical, just slower.
-  const bool use_ids = options_.use_id_frontend && tree.has_label_ids();
   CombinationWeights combo = EffectiveCombination();
   // Build the sphere context and resolve its labels against the sense
   // index once; every candidate scores against the same resolved
-  // context.
-  ContextVector vector;
-  std::optional<ResolvedContext> resolved;
-  IdContextVector id_vector;
-  std::optional<IdResolvedContext> id_resolved;
-  if (use_ids) {
-    // The sphere scratch is thread_local so batch workers scoring node
-    // after node reuse its member buffer instead of reallocating it.
-    thread_local IdSphere sphere;
-    BuildXmlIdSphere(tree, tree.label_ids(), id, options_.sphere_radius,
-                     options_.structure_only_context, &sphere);
-    id_vector.Assign(sphere, options_.bag_of_words_context);
-    id_resolved.emplace(*label_space_, sphere, id_vector);
-  } else {
-    Sphere sphere = BuildXmlSphere(tree, id, options_.sphere_radius,
-                                   options_.structure_only_context);
-    vector = ContextVector(sphere, options_.bag_of_words_context);
-    resolved.emplace(*network_, sphere, vector);
-  }
+  // context. The sphere scratch is thread_local so batch workers
+  // scoring node after node reuse its member buffer instead of
+  // reallocating it.
+  thread_local IdSphere sphere;
+  BuildXmlIdSphere(tree, tree.label_ids(), id, options_.sphere_radius,
+                   options_.structure_only_context, &sphere);
+  IdContextVector vector(sphere, options_.bag_of_words_context);
+  IdResolvedContext resolved(*label_space_, sphere, vector);
   uint64_t t_context = 0;
   if (accum != nullptr) {
     t_context = obs::MonotonicNowNs();
@@ -124,19 +101,13 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
     double concept_part = 0.0;
     double context_part = 0.0;
     if (combo.concept_weight > 0.0) {
-      concept_part = use_ids
-                         ? id_resolved->Score(*network_, measure_, candidate)
-                         : resolved->Score(*network_, measure_, candidate);
+      concept_part = resolved.Score(*network_, measure_, candidate);
       score += combo.concept_weight * concept_part;
     }
     if (combo.context_weight > 0.0) {
-      context_part =
-          use_ids ? IdContextScore(*network_, candidate, id_vector,
-                                   options_.sphere_radius,
-                                   options_.vector_similarity)
-                  : ContextScore(*network_, candidate, vector,
-                                 options_.sphere_radius,
-                                 options_.vector_similarity);
+      context_part = IdContextScore(*network_, candidate, vector,
+                                    options_.sphere_radius,
+                                    options_.vector_similarity);
       score += combo.context_weight * context_part;
     }
     if (audit != nullptr) {
@@ -198,6 +169,11 @@ Result<SenseAssignment> Disambiguator::DisambiguateNode(
 Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     const xml::LabeledTree& tree, xml::NodeId id, StageAccum* accum,
     NodeAudit* audit) const {
+  if (!tree.has_label_ids()) {
+    return Status::InvalidArgument(
+        "tree carries no label ids; build it with the disambiguator's "
+        "label_space()");
+  }
   const std::string& label = tree.node(id).label;
   obs::Span node_span(options_.trace, "node",
                       options_.trace != nullptr ? label : std::string());
@@ -281,8 +257,8 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
 
 Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
   // Trees handed in without interned labels get one id-assignment pass
-  // up front, so every per-node sphere below runs on the id path.
-  if (options_.use_id_frontend && !tree.has_label_ids()) {
+  // up front; every per-node stage below reads the ids.
+  if (!tree.has_label_ids()) {
     for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree.size());
          ++id) {
       tree.set_label_id(id, label_space_->Resolve(tree.node(id).label));
@@ -314,17 +290,18 @@ Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
 }
 
 Result<SemanticTree> Disambiguator::Run(const xml::Document& doc) const {
-  auto tree = BuildTree(doc, *network_, options_.include_values,
-                        options_.use_id_frontend ? label_space_ : nullptr);
+  auto tree =
+      BuildTree(doc, *network_, options_.include_values, label_space_);
   if (!tree.ok()) return tree.status();
   return RunOnTree(std::move(tree).value());
 }
 
 Result<SemanticTree> Disambiguator::RunOnXml(
     const std::string& xml_text) const {
-  auto doc = xml::Parse(xml_text);
-  if (!doc.ok()) return doc.status();
-  return Run(*doc);
+  auto tree = BuildTreeStreaming(xml_text, *network_, {},
+                                 options_.include_values, label_space_);
+  if (!tree.ok()) return tree.status();
+  return RunOnTree(std::move(tree).value());
 }
 
 namespace {

@@ -98,12 +98,6 @@ struct DisambiguatorOptions {
   /// (uniform structural proximity), as prior approaches do.
   bool bag_of_words_context = false;
 
-  /// Run the id-based front half (interned spheres, id context
-  /// vectors, memoized sense resolution) on trees that carry label
-  /// ids. The string pipeline is kept as the legacy oracle; both
-  /// produce bit-identical output, so this flag only moves time.
-  bool use_id_frontend = true;
-
   /// The label id space shared with the sense inventory and the tree
   /// builder (non-owning; optional). Without one the disambiguator
   /// owns a private space — fine standalone, but an engine sharing a
@@ -190,8 +184,9 @@ struct SemanticTree {
 /// disambiguation.
 class Disambiguator {
  public:
-  /// `network` must outlive the disambiguator and have finalized
-  /// frequencies.
+  /// `network` must outlive the disambiguator and be finalized
+  /// (FinalizeFrequencies(); the similarity kernels read its dense
+  /// tables). Checked in debug builds.
   Disambiguator(const wordnet::SemanticNetwork* network,
                 DisambiguatorOptions options = {});
 
@@ -199,18 +194,19 @@ class Disambiguator {
 
   /// The label space ids are resolved through (the installed one, or
   /// the private space created when none was). Internally
-  /// synchronized; callers building trees for RunOnTree() should pass
-  /// it to BuildTree() so the id front end engages without a second
-  /// resolution pass.
+  /// synchronized. Trees handed to the per-node entry points below
+  /// must carry ids from this space: build them with it
+  /// (BuildTreeStreaming / BuildTree).
   LabelSpace* label_space() const { return label_space_; }
 
   /// Runs the full pipeline on a parsed document.
   Result<SemanticTree> Run(const xml::Document& doc) const;
 
-  /// Runs the pipeline on an XML string.
+  /// Runs the pipeline on an XML string (one-pass streaming build).
   Result<SemanticTree> RunOnXml(const std::string& xml_text) const;
 
-  /// Runs selection + disambiguation on an already-built tree.
+  /// Runs selection + disambiguation on an already-built tree. A tree
+  /// without label ids gets them assigned from label_space() first.
   Result<SemanticTree> RunOnTree(xml::LabeledTree tree) const;
 
   /// The target nodes RunOnTree would disambiguate, in selection
@@ -218,18 +214,18 @@ class Disambiguator {
   /// can split the per-target DisambiguateNode() loop into stealable
   /// chunks across workers — DisambiguateNode is a pure function of
   /// (tree, id) for identically-configured disambiguators, so chunk
-  /// placement never changes results. Requires a tree whose label ids
-  /// match this disambiguator's expectations (the id-assignment pass
-  /// RunOnTree applies to id-less trees is NOT run here).
+  /// placement never changes results.
   std::vector<xml::NodeId> SelectTargets(const xml::LabeledTree& tree) const;
 
   /// Disambiguates a single node of `tree`; returns the winning
-  /// assignment, or NotFound when the label has no candidate senses.
+  /// assignment, NotFound when the label has no candidate senses, or
+  /// InvalidArgument when the tree carries no label ids.
   Result<SenseAssignment> DisambiguateNode(const xml::LabeledTree& tree,
                                            xml::NodeId id) const;
 
   /// Scores every candidate sense of `id` (exposed for analysis and
-  /// tests); parallel to EnumerateCandidates() order.
+  /// tests); parallel to EnumerateCandidates() order. Empty when the
+  /// tree carries no label ids.
   std::vector<double> ScoreCandidates(const xml::LabeledTree& tree,
                                       xml::NodeId id) const;
 
@@ -237,7 +233,8 @@ class Disambiguator {
   /// candidate with its concept/context/prior score decomposition and
   /// the chosen index. The chosen sense and scores are byte-identical
   /// to DisambiguateNode() on the same tree — audit capture never
-  /// perturbs the computation. NotFound when the label is senseless.
+  /// perturbs the computation. NotFound when the label is senseless,
+  /// InvalidArgument when the tree carries no label ids.
   Result<NodeAudit> ExplainNode(const xml::LabeledTree& tree,
                                 xml::NodeId id) const;
 
@@ -261,10 +258,6 @@ class Disambiguator {
   };
 
   CombinationWeights EffectiveCombination() const;
-
-  /// The node's interned label id: straight off the tree when it has
-  /// ids, resolved through the label space otherwise.
-  uint32_t LabelIdFor(const xml::LabeledTree& tree, xml::NodeId id) const;
 
   /// The node's shared candidate entry, via the sense inventory when
   /// installed; never null.

@@ -1,129 +1,11 @@
 #include "core/scores.h"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
 
 #include "common/simd.h"
 #include "core/tree_builder.h"
 
 namespace xsdf::core {
-
-namespace {
-
-/// The shared scoring loop of ResolvedContext::Score and
-/// IdResolvedContext::Score: per-distinct-label candidate similarity,
-/// then the weighted sum over members. Both paths instantiate this
-/// with the same arithmetic in the same order, which is the
-/// bit-identity contract between them. `token_senses_of(li)` yields
-/// the sense-span list of distinct label `li`; `members` is any range
-/// of {label_index, weight}.
-template <typename TokenSensesOf, typename Members>
-double ScoreResolvedContext(const wordnet::SemanticNetwork& network,
-                            const sim::CombinedMeasure& measure,
-                            const SenseCandidate& candidate,
-                            size_t label_count,
-                            TokenSensesOf&& token_senses_of,
-                            const Members& members, int sphere_size) {
-  if (sphere_size == 0) return 0.0;
-  // Similarity between the candidate and each distinct context label.
-  // For simple context labels a compound candidate is compared exactly
-  // per Eq. 10: max over context senses of the average of the two
-  // token-sense similarities. For compound context labels each context
-  // token is matched independently and the results averaged.
-  thread_local std::vector<double> label_sims;
-  label_sims.assign(label_count, 0.0);
-  // Per sense list the candidate-to-context similarities are fetched
-  // through one SimilarityMany() batch (one pipelined cache probe for
-  // the whole list) instead of per-sense calls. Values are identical —
-  // similarity is a pure function and the miss compute order is
-  // unchanged — and the max-reduction below runs in the original sense
-  // order, so scores stay bit-identical to the per-call loop.
-  thread_local std::vector<double> sims_primary;
-  thread_local std::vector<double> sims_secondary;
-  for (size_t li = 0; li < label_count; ++li) {
-    double total = 0.0;
-    int counted = 0;
-    for (std::span<const wordnet::ConceptId> senses : token_senses_of(li)) {
-      if (sims_primary.size() < senses.size()) {
-        sims_primary.resize(senses.size());
-      }
-      measure.SimilarityMany(network, candidate.primary, senses,
-                             sims_primary.data());
-      if (candidate.is_compound()) {
-        if (sims_secondary.size() < senses.size()) {
-          sims_secondary.resize(senses.size());
-        }
-        measure.SimilarityMany(network, candidate.secondary, senses,
-                               sims_secondary.data());
-      }
-      double best = 0.0;
-      for (size_t si = 0; si < senses.size(); ++si) {
-        double sim = sims_primary[si];
-        if (candidate.is_compound()) {
-          sim = (sim + sims_secondary[si]) / 2.0;
-        }
-        best = std::max(best, sim);
-      }
-      total += best;
-      ++counted;
-    }
-    label_sims[li] =
-        counted == 0 ? 0.0 : total / static_cast<double>(counted);
-  }
-  double sum = 0.0;
-  for (const auto& member : members) {
-    double sim = label_sims[member.label_index];
-    if (sim <= 0.0) continue;
-    sum += sim * member.weight;
-  }
-  return sum / static_cast<double>(sphere_size);
-}
-
-}  // namespace
-
-ResolvedContext::ResolvedContext(const wordnet::SemanticNetwork& network,
-                                 const Sphere& sphere,
-                                 const ContextVector& vector)
-    : sphere_size_(sphere.size()) {
-  std::unordered_map<std::string_view, uint32_t> index;
-  index.reserve(sphere.members.size());
-  members_.reserve(sphere.members.size());
-  bool center_skipped = false;
-  for (const SphereMember& member : sphere.members) {
-    if (!center_skipped && member.distance == 0) {
-      center_skipped = true;  // skip exactly the center occurrence
-      continue;
-    }
-    auto [it, inserted] =
-        index.emplace(member.label, static_cast<uint32_t>(labels_.size()));
-    if (inserted) {
-      ResolvedLabel resolved;
-      for (const std::string& token :
-           LabelSenseTokens(network, member.label)) {
-        const std::vector<wordnet::ConceptId>& senses =
-            network.Senses(token);
-        if (!senses.empty()) {
-          resolved.token_senses.emplace_back(senses.data(), senses.size());
-        }
-      }
-      labels_.push_back(std::move(resolved));
-    }
-    members_.push_back({it->second, vector.Weight(member.label)});
-  }
-}
-
-double ResolvedContext::Score(const wordnet::SemanticNetwork& network,
-                              const sim::CombinedMeasure& measure,
-                              const SenseCandidate& candidate) const {
-  return ScoreResolvedContext(
-      network, measure, candidate, labels_.size(),
-      [this](size_t li) -> const std::vector<
-                            std::span<const wordnet::ConceptId>>& {
-        return labels_[li].token_senses;
-      },
-      members_, sphere_size_);
-}
 
 IdResolvedContext::IdResolvedContext(LabelSpace& space,
                                      const IdSphere& sphere,
@@ -157,13 +39,60 @@ IdResolvedContext::IdResolvedContext(LabelSpace& space,
 double IdResolvedContext::Score(const wordnet::SemanticNetwork& network,
                                 const sim::CombinedMeasure& measure,
                                 const SenseCandidate& candidate) const {
-  return ScoreResolvedContext(
-      network, measure, candidate, labels_.size(),
-      [this](size_t li) -> const std::vector<
-                            std::span<const wordnet::ConceptId>>& {
-        return labels_[li]->token_senses;
-      },
-      members_, sphere_size_);
+  if (sphere_size_ == 0) return 0.0;
+  // Similarity between the candidate and each distinct context label.
+  // For simple context labels a compound candidate is compared exactly
+  // per Eq. 10: max over context senses of the average of the two
+  // token-sense similarities. For compound context labels each context
+  // token is matched independently and the results averaged.
+  thread_local std::vector<double> label_sims;
+  label_sims.assign(labels_.size(), 0.0);
+  // Per sense list the candidate-to-context similarities are fetched
+  // through one SimilarityMany() batch (one pipelined cache probe for
+  // the whole list) instead of per-sense calls. Values are identical —
+  // similarity is a pure function and the miss compute order is
+  // unchanged — and the max-reduction below runs in the original sense
+  // order, so scores stay bit-identical to the per-call loop.
+  thread_local std::vector<double> sims_primary;
+  thread_local std::vector<double> sims_secondary;
+  for (size_t li = 0; li < labels_.size(); ++li) {
+    double total = 0.0;
+    int counted = 0;
+    for (std::span<const wordnet::ConceptId> senses :
+         labels_[li]->token_senses) {
+      if (sims_primary.size() < senses.size()) {
+        sims_primary.resize(senses.size());
+      }
+      measure.SimilarityMany(network, candidate.primary, senses,
+                             sims_primary.data());
+      if (candidate.is_compound()) {
+        if (sims_secondary.size() < senses.size()) {
+          sims_secondary.resize(senses.size());
+        }
+        measure.SimilarityMany(network, candidate.secondary, senses,
+                               sims_secondary.data());
+      }
+      double best = 0.0;
+      for (size_t si = 0; si < senses.size(); ++si) {
+        double sim = sims_primary[si];
+        if (candidate.is_compound()) {
+          sim = (sim + sims_secondary[si]) / 2.0;
+        }
+        best = std::max(best, sim);
+      }
+      total += best;
+      ++counted;
+    }
+    label_sims[li] =
+        counted == 0 ? 0.0 : total / static_cast<double>(counted);
+  }
+  double sum = 0.0;
+  for (const Member& member : members_) {
+    double sim = label_sims[member.label_index];
+    if (sim <= 0.0) continue;
+    sum += sim * member.weight;
+  }
+  return sum / static_cast<double>(sphere_size_);
 }
 
 std::vector<SenseCandidate> EnumerateCandidates(
@@ -215,29 +144,6 @@ std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,
   return candidates;
 }
 
-double ConceptScore(const wordnet::SemanticNetwork& network,
-                    const sim::CombinedMeasure& measure,
-                    const SenseCandidate& candidate, const Sphere& sphere,
-                    const ContextVector& vector) {
-  ResolvedContext resolved(network, sphere, vector);
-  return resolved.Score(network, measure, candidate);
-}
-
-double ContextScore(const wordnet::SemanticNetwork& network,
-                    const SenseCandidate& candidate,
-                    const ContextVector& xml_vector, int radius,
-                    VectorSimilarity vector_similarity) {
-  Sphere concept_sphere =
-      candidate.is_compound()
-          ? BuildCompoundConceptSphere(network, candidate.primary,
-                                       candidate.secondary, radius)
-          : BuildConceptSphere(network, candidate.primary, radius);
-  ContextVector concept_vector(concept_sphere);
-  return vector_similarity == VectorSimilarity::kJaccard
-             ? xml_vector.Jaccard(concept_vector)
-             : xml_vector.Cosine(concept_vector);
-}
-
 double IdContextScore(const wordnet::SemanticNetwork& network,
                       const SenseCandidate& candidate,
                       const IdContextVector& xml_vector, int radius,
@@ -251,25 +157,6 @@ double IdContextScore(const wordnet::SemanticNetwork& network,
   return vector_similarity == VectorSimilarity::kJaccard
              ? xml_vector.Jaccard(concept_vector)
              : xml_vector.Cosine(concept_vector);
-}
-
-double CombinedScore(const wordnet::SemanticNetwork& network,
-                     const sim::CombinedMeasure& measure,
-                     const SenseCandidate& candidate, const Sphere& sphere,
-                     const ContextVector& xml_vector, int radius,
-                     const CombinationWeights& weights,
-                     VectorSimilarity vector_similarity) {
-  double score = 0.0;
-  if (weights.concept_weight > 0.0) {
-    score += weights.concept_weight *
-             ConceptScore(network, measure, candidate, sphere, xml_vector);
-  }
-  if (weights.context_weight > 0.0) {
-    score += weights.context_weight *
-             ContextScore(network, candidate, xml_vector, radius,
-                          vector_similarity);
-  }
-  return score;
 }
 
 }  // namespace xsdf::core

@@ -51,53 +51,26 @@ std::vector<SenseCandidate> EnumerateCandidatesById(LabelSpace& space,
                                                     uint32_t label_id);
 
 /// A sphere context resolved against the sense inventory once, so that
-/// scoring N candidates does the label-token split and Senses() lookups
-/// a single time instead of N times per sphere member. Distinct labels
-/// collapse to one entry; each candidate's per-label similarity is
+/// scoring N candidates resolves each sphere label a single time
+/// instead of N times per sphere member. Sphere labels resolve through
+/// the LabelSpace's memoized per-id sense table, distinct labels
+/// collapse to one entry, and each candidate's per-label similarity is
 /// computed once and reused for every member carrying that label
 /// (recomputation is deterministic, so reuse is bit-identical).
 ///
-/// Holds references into `network`'s sense index — build, score, and
-/// discard while the network is unchanged (never across AddConcept).
-class ResolvedContext {
- public:
-  ResolvedContext(const wordnet::SemanticNetwork& network,
-                  const Sphere& sphere, const ContextVector& vector);
-
-  /// Concept_Score(candidate, sphere, vector) — bit-identical to the
-  /// free-function ConceptScore() over the same sphere and vector.
-  double Score(const wordnet::SemanticNetwork& network,
-               const sim::CombinedMeasure& measure,
-               const SenseCandidate& candidate) const;
-
- private:
-  /// One distinct sphere label: the sense lists of its sense-bearing
-  /// tokens (empty when no token has a sense — scores 0).
-  struct ResolvedLabel {
-    std::vector<std::span<const wordnet::ConceptId>> token_senses;
-  };
-  /// One sphere member (center occurrence already removed).
-  struct Member {
-    uint32_t label_index = 0;  ///< into labels_
-    double weight = 0.0;       ///< vector.Weight(label)
-  };
-
-  std::vector<ResolvedLabel> labels_;
-  std::vector<Member> members_;
-  int sphere_size_ = 0;
-};
-
-/// The id-based twin of ResolvedContext: sphere labels resolve through
-/// the LabelSpace's memoized per-id sense table instead of re-running
-/// the token split and lemma lookups, and member weights come from the
-/// IdContextVector. Score() runs the exact arithmetic of
-/// ResolvedContext::Score() in the exact same order, so for
-/// bijectively-mapped spheres its result is bit-identical.
+/// Holds pointers into `space`'s memo — build, score, and discard while
+/// the space and its network are alive.
 class IdResolvedContext {
  public:
   IdResolvedContext(LabelSpace& space, const IdSphere& sphere,
                     const IdContextVector& vector);
 
+  /// Concept_Score(candidate, S_d(x), SN-bar) of Definition 8 (and its
+  /// compound extension Eq. 10): the average over context nodes of the
+  /// maximum candidate-to-context-sense similarity, scaled by each
+  /// context node's context-vector weight. The center node itself is
+  /// not scored against (its own label's best sense is the candidate
+  /// itself, a constant across candidates).
   double Score(const wordnet::SemanticNetwork& network,
                const sim::CombinedMeasure& measure,
                const SenseCandidate& candidate) const;
@@ -115,18 +88,6 @@ class IdResolvedContext {
   int sphere_size_ = 0;
 };
 
-/// Concept_Score(s_p, S_d(x), SN-bar) of Definition 8 (and its
-/// compound extension Eq. 10): the average over context nodes of the
-/// maximum candidate-to-context-sense similarity, scaled by each
-/// context node's context-vector weight. The center node itself is not
-/// scored against (its own label's best sense is the candidate itself,
-/// a constant across candidates). One-shot wrapper over
-/// ResolvedContext; build the latter directly to score many candidates.
-double ConceptScore(const wordnet::SemanticNetwork& network,
-                    const sim::CombinedMeasure& measure,
-                    const SenseCandidate& candidate, const Sphere& sphere,
-                    const ContextVector& vector);
-
 /// How two context vectors are compared in Context_Score: cosine (the
 /// paper's default) or weighted Jaccard (footnote 10's alternative).
 enum class VectorSimilarity { kCosine, kJaccard };
@@ -135,16 +96,6 @@ enum class VectorSimilarity { kCosine, kJaccard };
 /// vector similarity between the XML context vector and the concept
 /// sphere context vector of the candidate (union sphere for compound
 /// candidates).
-double ContextScore(const wordnet::SemanticNetwork& network,
-                    const SenseCandidate& candidate,
-                    const ContextVector& xml_vector, int radius,
-                    VectorSimilarity vector_similarity =
-                        VectorSimilarity::kCosine);
-
-/// Id-based twin of ContextScore(): the candidate's concept sphere and
-/// context vector are built as flat id arrays and compared against the
-/// XML id vector. Bit-identical to ContextScore() over the same
-/// context.
 double IdContextScore(const wordnet::SemanticNetwork& network,
                       const SenseCandidate& candidate,
                       const IdContextVector& xml_vector, int radius,
@@ -158,14 +109,6 @@ struct CombinationWeights {
   double concept_weight = 1.0;  ///< w_Concept
   double context_weight = 0.0;  ///< w_Context
 };
-
-double CombinedScore(const wordnet::SemanticNetwork& network,
-                     const sim::CombinedMeasure& measure,
-                     const SenseCandidate& candidate, const Sphere& sphere,
-                     const ContextVector& xml_vector, int radius,
-                     const CombinationWeights& weights,
-                     VectorSimilarity vector_similarity =
-                         VectorSimilarity::kCosine);
 
 }  // namespace xsdf::core
 

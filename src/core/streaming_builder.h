@@ -17,8 +17,8 @@ struct StreamingBuildStats {
   /// High-water mark of the builder's transient scaffolding (the
   /// open-element stack plus the buffered attributes and pending text
   /// of the element currently being opened) — what replaces the DOM +
-  /// arena the two-pass front end keeps resident. Bounded by tree
-  /// depth plus one start tag, not document size.
+  /// arena that Parse + BuildTree keep resident. Bounded by tree depth
+  /// plus one start tag, not document size.
   size_t scaffold_peak_bytes = 0;
 };
 

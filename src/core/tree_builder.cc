@@ -2,10 +2,10 @@
 
 #include "common/strings.h"
 #include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "text/preprocess.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
-#include "xml/parser.h"
 
 namespace xsdf::core {
 
@@ -74,36 +74,32 @@ const std::vector<xml::ResolvedLabel>& TokenizeValueMemo(
 Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
                                    const wordnet::SemanticNetwork& network,
                                    bool include_values,
-                                   LabelSpace* label_space,
-                                   TreeBuildCache* cache) {
+                                   LabelSpace* label_space) {
   // Documents repeat the same raw tags and values over and over, so
-  // the (pure) pre-processing functions are memoized: into the
-  // caller's persistent cache when one is passed (cross-document
-  // reuse), else into a local one that dies with this build. The
-  // build is synchronous, so the hooks capture the cache by pointer.
-  TreeBuildCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
+  // the (pure) pre-processing functions are memoized into a cache that
+  // dies with this build. The build is synchronous, so the hooks
+  // capture the cache by reference.
+  TreeBuildCache cache;
   xml::TreeBuildOptions options;
   options.include_values = include_values;
   options.resolved_label_transform =
-      [&network, cache, label_space](
+      [&network, &cache, label_space](
           const std::string& tag) -> const xml::ResolvedLabel& {
-    return ResolveTagMemo(*cache, network, label_space, tag);
+    return ResolveTagMemo(cache, network, label_space, tag);
   };
   options.resolved_value_tokenizer =
-      [&network, cache, label_space](const std::string& value)
+      [&network, &cache, label_space](const std::string& value)
       -> const std::vector<xml::ResolvedLabel>& {
-    return TokenizeValueMemo(*cache, network, label_space, value);
+    return TokenizeValueMemo(cache, network, label_space, value);
   };
   return BuildLabeledTree(doc, options);
 }
 
 Result<xml::LabeledTree> BuildTreeFromXml(
     const std::string& xml_text, const wordnet::SemanticNetwork& network,
-    bool include_values, LabelSpace* label_space, TreeBuildCache* cache) {
-  auto doc = xml::Parse(xml_text);
-  if (!doc.ok()) return doc.status();
-  return BuildTree(*doc, network, include_values, label_space, cache);
+    bool include_values, LabelSpace* label_space) {
+  return BuildTreeStreaming(xml_text, network, {}, include_values,
+                            label_space);
 }
 
 }  // namespace xsdf::core

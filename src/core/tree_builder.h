@@ -13,8 +13,9 @@ namespace xsdf::core {
 
 class LabelSpace;
 
-/// Cross-document memo for BuildTree's pure pre-processing and
-/// interning. XML corpora share one vocabulary across documents, so a
+/// Cross-document memo for the tree builders' pure pre-processing and
+/// interning (BuildTreeStreaming takes one; BuildTree keeps a
+/// per-document one). XML corpora share one vocabulary across documents, so a
 /// persistent cache turns tag stemming, token normalization, AND label
 /// interning into a single hash probe per node after the first few
 /// documents. Entries key raw input text and hold outputs identical to
@@ -66,22 +67,21 @@ std::vector<std::string> LabelSenseTokens(
 /// `include_values` selects structure-and-content (true) vs
 /// structure-only (false) processing (paper §3.1).
 ///
-/// Pre-processing results are memoized (XML vocabularies repeat tags
-/// and values heavily): through `cache` across calls when the caller
-/// passes one, else per document. With a `label_space` every built node
-/// also carries its interned label id (tree.has_label_ids() holds) and
-/// the disambiguator runs its id-based front half on the tree.
+/// Pre-processing results are memoized per document (XML vocabularies
+/// repeat tags and values heavily). With a `label_space` every built
+/// node also carries its interned label id (tree.has_label_ids()
+/// holds), as the disambiguator's per-node entry points require. For
+/// callers that already hold a DOM; from text, use BuildTreeFromXml.
 Result<xml::LabeledTree> BuildTree(const xml::Document& doc,
                                    const wordnet::SemanticNetwork& network,
                                    bool include_values = true,
-                                   LabelSpace* label_space = nullptr,
-                                   TreeBuildCache* cache = nullptr);
+                                   LabelSpace* label_space = nullptr);
 
-/// Same, from an XML string (parse + build).
+/// The same tree from an XML string, built in one streaming pass
+/// (BuildTreeStreaming with default parse options; no DOM).
 Result<xml::LabeledTree> BuildTreeFromXml(
     const std::string& xml_text, const wordnet::SemanticNetwork& network,
-    bool include_values = true, LabelSpace* label_space = nullptr,
-    TreeBuildCache* cache = nullptr);
+    bool include_values = true, LabelSpace* label_space = nullptr);
 
 }  // namespace xsdf::core
 

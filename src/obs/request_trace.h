@@ -12,9 +12,9 @@
 namespace xsdf::obs {
 
 /// The span tree of one HTTP request: a request id plus the stages it
-/// passed through (read -> admission -> queue wait -> parse ->
-/// tree_build -> disambiguate -> serialize -> send), each recorded as
-/// [start, start+dur) in absolute MonotonicNowNs() time.
+/// passed through (read -> admission -> queue wait -> parse (fused
+/// with the tree build) -> disambiguate -> serialize -> send), each
+/// recorded as [start, start+dur) in absolute MonotonicNowNs() time.
 ///
 /// Unlike TraceSession (process-wide, per-thread buffers, exported
 /// while quiescent), a RequestTrace belongs to exactly one in-flight

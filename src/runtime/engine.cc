@@ -91,16 +91,7 @@ DisambiguationEngine::DisambiguationEngine(
     ins_.queue_depth = m->GetHistogram(
         "engine.queue_depth", {0, 1, 2, 4, 8, 16, 32, 64, 128, 256});
     ins_.parse_us = m->GetHistogram("stage.parse_us");
-    ins_.tree_build_us = m->GetHistogram("stage.tree_build_us");
     ins_.serialize_us = m->GetHistogram("stage.serialize_us");
-    const std::vector<uint64_t> arena_bounds = {
-        4096,      8192,      16384,     32768,       65536,    131072,
-        262144,    524288,    1u << 20,  1u << 21,    1u << 22, 1u << 23,
-        1u << 24};
-    ins_.arena_used_bytes =
-        m->GetHistogram("xml.arena_used_bytes", arena_bounds);
-    ins_.arena_reserved_bytes =
-        m->GetHistogram("xml.arena_reserved_bytes", arena_bounds);
   }
   label_space_ = std::make_unique<core::LabelSpace>(network_);
   options_.disambiguator.label_space = label_space_.get();
@@ -231,42 +222,18 @@ DocumentResult DisambiguationEngine::Process(
   obs::Span doc_span(trace_, "document", job.name);
   xml::ParseOptions parse_options;
   parse_options.limits = options_.parse_limits;
-  core::LabelSpace* build_space =
-      options_.disambiguator.use_id_frontend ? label_space_.get() : nullptr;
-  xsdf::Result<xml::LabeledTree> tree = [&]() -> xsdf::Result<xml::LabeledTree> {
-    if (options_.streaming_frontend) {
-      // Fused parse + tree build: one streaming pass, no DOM. The
-      // whole front end lands in stage.parse_us so its sample count
-      // keeps matching engine.documents (tools/validate_obs.py);
-      // stage.tree_build_us stays registered but unsampled.
-      obs::RequestSpan rspan(job.rtrace, "parse");
-      obs::StageTimer timer(ins_.parse_us, trace_, "parse");
-      core::StreamingBuildStats build_stats;
-      auto built = core::BuildTreeStreaming(
-          job.xml, *network_, parse_options,
-          options_.disambiguator.include_values, build_space, &tree_cache,
-          &build_stats);
-      NoteFrontendPeak(build_stats.scaffold_peak_bytes);
-      return built;
-    }
-    xsdf::Result<xml::Document> doc = [&] {
-      obs::RequestSpan rspan(job.rtrace, "parse");
-      obs::StageTimer timer(ins_.parse_us, trace_, "parse");
-      return xml::Parse(job.xml, parse_options);
-    }();
-    if (!doc.ok()) return doc.status();
-    if (ins_.arena_used_bytes != nullptr) {
-      // One sample per document: how much of the bump arena the parse
-      // actually consumed vs. what its blocks reserve.
-      ins_.arena_used_bytes->Record(doc->arena().bytes_used());
-      ins_.arena_reserved_bytes->Record(doc->arena().bytes_reserved());
-    }
-    NoteFrontendPeak(doc->arena().bytes_reserved());
-    obs::RequestSpan rspan(job.rtrace, "tree_build");
-    obs::StageTimer timer(ins_.tree_build_us, trace_, "tree_build");
-    return core::BuildTree(*doc, *network_,
-                           options_.disambiguator.include_values,
-                           build_space, &tree_cache);
+  xsdf::Result<xml::LabeledTree> tree = [&] {
+    // Fused parse + tree build: one streaming pass, no DOM, timed as
+    // the parse stage.
+    obs::RequestSpan rspan(job.rtrace, "parse");
+    obs::StageTimer timer(ins_.parse_us, trace_, "parse");
+    core::StreamingBuildStats build_stats;
+    auto built = core::BuildTreeStreaming(
+        job.xml, *network_, parse_options,
+        options_.disambiguator.include_values, label_space_.get(),
+        &tree_cache, &build_stats);
+    NoteFrontendPeak(build_stats.scaffold_peak_bytes);
+    return built;
   }();
   if (!tree.ok()) {
     result.error = tree.status().ToString();
@@ -295,13 +262,10 @@ DocumentResult DisambiguationEngine::Process(
 Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
     const core::Disambiguator& disambiguator, xml::LabeledTree tree,
     int worker_index) {
-  // Chunked fan-out requires another worker to steal chunks and a tree
-  // whose label ids are already interned (SelectTargets does not
-  // replicate RunOnTree's id-assignment pass for id-less trees).
-  const bool eligible =
-      options_.subtree_parallelism && workers_.size() > 1 &&
-      (!options_.disambiguator.use_id_frontend || tree.has_label_ids());
-  if (!eligible) return disambiguator.RunOnTree(std::move(tree));
+  // Chunked fan-out requires another worker to steal chunks.
+  if (!options_.subtree_parallelism || workers_.size() < 2) {
+    return disambiguator.RunOnTree(std::move(tree));
+  }
   std::vector<xml::NodeId> targets = disambiguator.SelectTargets(tree);
   const size_t chunk_size =
       std::max<size_t>(options_.subtree_chunk_targets, 1);

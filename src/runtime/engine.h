@@ -36,7 +36,7 @@ struct DocumentJob {
   uint64_t deadline_ns = 0;
   /// Optional per-request span sink (non-owning; must outlive the
   /// job's completion). When set, the worker records queue_wait and
-  /// the engine stages (parse/tree_build/disambiguate/serialize) into
+  /// the engine stages (parse/disambiguate/serialize) into
   /// it, and the result carries queue_wait_us/run_us/worker — the
   /// serve layer's request-scoped observability. Null (the default)
   /// adds no clock reads to the batch path.
@@ -86,16 +86,8 @@ struct EngineOptions {
   size_t sense_cache_capacity = 4096;
   size_t sense_cache_shards = 8;
 
-  /// Front-end selection: true (the default) fuses parse + tree build
-  /// into the one-pass streaming build (no DOM materialized, bounded
-  /// scaffolding memory — core::BuildTreeStreaming); false keeps the
-  /// two-pass DOM build. Both produce byte-identical output for every
-  /// document (the DOM path is retained as the bit-identity oracle,
-  /// enforced by tests and the giant-doc CI job).
-  bool streaming_frontend = true;
-
-  /// Parser hardening budgets applied to every document on both front
-  /// ends (the CLI's --max-input-bytes / --max-depth land here).
+  /// Parser hardening budgets applied to every document (the CLI's
+  /// --max-input-bytes / --max-depth land here).
   xml::ParseLimits parse_limits;
 
   /// Intra-document parallelism: when a multi-worker engine selects at
@@ -115,8 +107,8 @@ struct EngineOptions {
   /// Optional observability sinks (non-owning; must outlive the
   /// engine). They are propagated to every worker's Disambiguator.
   /// With a registry attached the engine records per-stage latency
-  /// histograms (stage.parse_us / tree_build_us / serialize_us, plus
-  /// the core stages), queue behavior (engine.job_wait_us /
+  /// histograms (stage.parse_us — the fused parse + tree build — and
+  /// stage.serialize_us, plus the core stages), queue behavior (engine.job_wait_us /
   /// job_run_us / queue_depth) and lifetime counters; with a trace
   /// session attached every worker emits per-document spans under its
   /// own tid. Both null (the default) keeps the hot path free of even
@@ -209,11 +201,7 @@ class DisambiguationEngine {
     obs::Histogram* job_run_us = nullptr;
     obs::Histogram* queue_depth = nullptr;
     obs::Histogram* parse_us = nullptr;
-    obs::Histogram* tree_build_us = nullptr;
     obs::Histogram* serialize_us = nullptr;
-    /// Per-document DOM arena footprint (front-end memory model).
-    obs::Histogram* arena_used_bytes = nullptr;
-    obs::Histogram* arena_reserved_bytes = nullptr;
   };
 
   void WorkerLoop(int worker_index);

@@ -48,10 +48,9 @@ struct EngineStats {
   /// than the document's owner (see EngineOptions::subtree_parallelism).
   uint64_t subtree_parallel_docs = 0;
   uint64_t subtree_steals = 0;
-  /// High-water mark of per-document front-end scaffolding bytes (DOM
-  /// arena reservation on the two-pass path; builder transient state
-  /// on the streaming path). Not reset by ResetCounters() — it
-  /// describes the worst document seen, not a rate.
+  /// High-water mark of per-document front-end scaffolding bytes (the
+  /// streaming builder's transient state). Not reset by ResetCounters()
+  /// — it describes the worst document seen, not a rate.
   uint64_t frontend_peak_bytes = 0;
   CacheStats similarity_cache;
   CacheStats sense_cache;

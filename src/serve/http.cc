@@ -179,7 +179,7 @@ Status ReadHttpRequest(int fd, HttpRequest* out, size_t max_body_bytes) {
     out->headers[ToLower(std::string(line.substr(0, colon)))] =
         std::string(Trim(line.substr(colon + 1)));
   }
-  std::string connection = ToLower(out->Header("connection", ""));
+  std::string connection = ToLower(out->Header("connection"));
   if (connection == "close") out->keep_alive = false;
   if (connection == "keep-alive") out->keep_alive = true;
 

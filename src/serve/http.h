@@ -22,11 +22,13 @@ struct HttpRequest {
   std::string body;
   bool keep_alive = true;
 
-  /// Header value by lowercase name, or `fallback`.
-  const std::string& Header(const std::string& name,
-                            const std::string& fallback) const {
+  /// Header value by lowercase name, or `fallback` when absent.
+  /// Returns a copy: a reference could alias a caller's temporary
+  /// fallback and dangle at the end of the full expression.
+  std::string Header(const std::string& name,
+                     std::string fallback = {}) const {
     auto it = headers.find(name);
-    return it == headers.end() ? fallback : it->second;
+    return it == headers.end() ? std::move(fallback) : it->second;
   }
 
   /// Value of `key` in the query string ("" when absent). Supports the

@@ -20,7 +20,7 @@
 #include "common/strings.h"
 #include "core/disambiguator.h"
 #include "core/node_query.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "obs/json_writer.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
@@ -408,7 +408,7 @@ uint64_t Server::GenerateRequestId() {
 
 uint64_t Server::ResolveRequestId(const HttpRequest& request) {
   uint64_t supplied =
-      ParseRequestIdHex(request.Header("x-xsdf-request-id", ""));
+      ParseRequestIdHex(request.Header("x-xsdf-request-id"));
   return supplied != 0 ? supplied : GenerateRequestId();
 }
 
@@ -524,8 +524,7 @@ HttpResponse Server::HandleDisambiguate(const HttpRequest& request,
   job.name = request.Header("x-xsdf-doc-name", "request");
   job.xml = request.body;
   job.rtrace = ctx->trace.get();
-  const std::string& deadline_ms =
-      request.Header("x-xsdf-deadline-ms", "");
+  const std::string deadline_ms = request.Header("x-xsdf-deadline-ms");
   if (!deadline_ms.empty()) {
     long ms = std::atol(deadline_ms.c_str());
     ctx->deadline_budget_ms = ms <= 0 ? 0 : static_cast<uint64_t>(ms);
@@ -588,15 +587,16 @@ HttpResponse Server::HandleExplain(const HttpRequest& request) {
   if (query.empty()) {
     return {400, {}, "missing ?node= query parameter\n"};
   }
-  auto doc = xml::Parse(request.body);
-  if (!doc.ok()) {
-    return {400, {}, doc.status().ToString() + "\n"};
-  }
-  // Same options as the engine workers, so the audited choice matches
-  // what /disambiguate answers for the same document.
-  core::DisambiguatorOptions doptions = options_.engine.disambiguator;
-  auto tree =
-      core::BuildTree(*doc, *state->network, doptions.include_values);
+  // Same options and parse limits as the engine workers, so the
+  // audited choice matches what /disambiguate answers for the same
+  // document and both endpoints refuse the same inputs.
+  const core::DisambiguatorOptions& doptions = options_.engine.disambiguator;
+  core::Disambiguator system(state->network.get(), doptions);
+  xml::ParseOptions parse_options;
+  parse_options.limits = options_.engine.parse_limits;
+  auto tree = core::BuildTreeStreaming(request.body, *state->network,
+                                       parse_options, doptions.include_values,
+                                       system.label_space());
   if (!tree.ok()) {
     return {400, {}, tree.status().ToString() + "\n"};
   }
@@ -604,7 +604,6 @@ HttpResponse Server::HandleExplain(const HttpRequest& request) {
   if (matches.empty()) {
     return {404, {}, "no node matches '" + query + "'\n"};
   }
-  core::Disambiguator system(state->network.get(), doptions);
   obs::JsonWriter writer;
   writer.BeginObject();
   writer.Key("query");
@@ -745,7 +744,7 @@ HttpResponse Server::HandleStats() {
 
 HttpResponse Server::HandleSwap(const HttpRequest& request) {
   if (!options_.admin_token.empty() &&
-      request.Header("x-xsdf-admin-token", "") != options_.admin_token) {
+      request.Header("x-xsdf-admin-token") != options_.admin_token) {
     return {403, {}, "bad admin token\n"};
   }
   std::string path = request.QueryParam("snapshot");

@@ -92,7 +92,7 @@ class CombinedMeasure : public SimilarityMeasure {
   /// sets) before the misses are computed in order; every produced
   /// double, and the per-key hit/miss accounting, is identical to a
   /// loop of Similarity() calls. The sphere-scoring hot loop
-  /// (core::ScoreResolvedContext) calls this once per sense list.
+  /// (core::IdResolvedContext::Score) calls this once per sense list.
   void SimilarityMany(const wordnet::SemanticNetwork& network,
                       wordnet::ConceptId a,
                       std::span<const wordnet::ConceptId> others,

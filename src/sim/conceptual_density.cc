@@ -76,7 +76,6 @@ double ConceptualDensityMeasure::Similarity(
     const wordnet::SemanticNetwork& network, wordnet::ConceptId a,
     wordnet::ConceptId b) const {
   if (a == b) return 1.0;
-  if (!network.finalized()) return LegacySimilarity(network, a, b);
   std::shared_ptr<const SubtreeTable> table = TableFor(network);
   std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
   std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);

@@ -35,8 +35,8 @@ namespace xsdf::sim {
 /// scores high; a subsumer near the root scores near 0; unrelated
 /// concepts score 0 and Sim(c, c) = 1.
 ///
-/// On a finalized network both counts come from one O(sum of CSR row
-/// lengths) pass over the ancestor table, memoized per network behind
+/// Both counts come from one O(sum of CSR row lengths) pass over the
+/// finalized network's ancestor table, memoized per network behind
 /// a mutex-guarded shared_ptr (instances are safely shared across
 /// threads), and the common-subsumer set comes from the SIMD sorted
 /// intersect — max over the matched set is order-independent, so
@@ -52,8 +52,8 @@ class ConceptualDensityMeasure : public SimilarityMeasure {
   std::string name() const override { return "conceptual-density"; }
 
   /// Table-free reference implementation (per-call whole-network
-  /// AncestorDistances walks): used when the network is not finalized,
-  /// and as the bit-identity oracle in tests and benchmarks.
+  /// AncestorDistances walks): the bit-identity oracle in tests and
+  /// benchmarks.
   static double LegacySimilarity(const wordnet::SemanticNetwork& network,
                                  wordnet::ConceptId a,
                                  wordnet::ConceptId b);

@@ -143,7 +143,6 @@ double GlossOverlapMeasure::Similarity(
     const wordnet::SemanticNetwork& network, wordnet::ConceptId a,
     wordnet::ConceptId b) const {
   if (a == b) return 1.0;
-  if (!network.finalized()) return LegacySimilarity(network, a, b);
   std::span<const uint32_t> gloss_a = network.GlossTokens(a);
   std::span<const uint32_t> gloss_b = network.GlossTokens(b);
   size_t min_len = std::min(gloss_a.size(), gloss_b.size());

@@ -22,8 +22,8 @@ namespace xsdf::sim {
 /// min(|g1|, |g2|)^2 — the largest value the phrase-overlap sum can
 /// take — giving a measure in [0, 1].
 ///
-/// On a finalized network the per-pair work never touches a string:
-/// the extended glosses are precomputed interned token-id sequences
+/// The per-pair work never touches a string: the extended glosses are
+/// the finalized network's precomputed interned token-id sequences
 /// (SemanticNetwork::GlossTokens()), a sorted-bag intersection pass
 /// proves zero overlap cheaply, and the phrase DP runs over uint32 ids
 /// in reused thread-local scratch. Token ids are injective over

@@ -46,7 +46,6 @@ double LinMeasure::Similarity(const wordnet::SemanticNetwork& network,
                               wordnet::ConceptId a,
                               wordnet::ConceptId b) const {
   if (a == b) return 1.0;
-  if (!network.finalized()) return LegacySimilarity(network, a, b);
   // Most informative common subsumer via the SIMD sorted-ancestor
   // intersect over the precomputed tables (see ResnikMeasure::Similarity
   // for why this is bit-identical to the legacy hash-map walk).

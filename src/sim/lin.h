@@ -15,9 +15,9 @@ namespace xsdf::sim {
 /// the statistics the weighted network SN-bar carries (paper Figure 2).
 /// The lcs chosen maximizes IC among common ancestors (Resnik's "most
 /// informative subsumer"). Requires FinalizeFrequencies().
-/// On a finalized network the subsumer search merges the precomputed
-/// ancestor arrays and reads the IC table — bit-identical to the
-/// legacy hash-map walk kept as LegacySimilarity().
+/// The subsumer search merges the precomputed ancestor arrays and
+/// reads the IC table — bit-identical to the legacy hash-map walk kept
+/// as LegacySimilarity().
 class LinMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,

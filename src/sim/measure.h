@@ -20,7 +20,10 @@ class SimilarityMeasure {
  public:
   virtual ~SimilarityMeasure() = default;
 
-  /// Similarity of concepts `a` and `b` in [0, 1].
+  /// Similarity of concepts `a` and `b` in [0, 1]. The built-in
+  /// measures read the dense tables FinalizeFrequencies() builds, so
+  /// `network` must be finalized (every production loader finalizes;
+  /// the Disambiguator checks it in debug builds).
   virtual double Similarity(const wordnet::SemanticNetwork& network,
                             wordnet::ConceptId a,
                             wordnet::ConceptId b) const = 0;

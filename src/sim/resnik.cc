@@ -33,7 +33,6 @@ double ResnikMeasure::Similarity(const wordnet::SemanticNetwork& network,
                                  wordnet::ConceptId a,
                                  wordnet::ConceptId b) const {
   if (a == b) return 1.0;
-  if (!network.finalized()) return LegacySimilarity(network, a, b);
   double total = network.TotalFrequency();
   if (total <= 0.0) return 0.0;
   // Most informative common subsumer via the SIMD sorted-ancestor

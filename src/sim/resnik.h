@@ -16,8 +16,8 @@ namespace xsdf::sim {
 /// additional node-based alternative to Lin, demonstrating the
 /// registry's extensibility (paper footnote 8: "any other semantic
 /// similarity measure can be used, or combined").
-/// On a finalized network the subsumer search merges the precomputed
-/// ancestor arrays and reads the IC table — bit-identical to the
+/// The subsumer search merges the precomputed ancestor arrays of the
+/// finalized network and reads the IC table — bit-identical to the
 /// legacy hash-map walk kept as LegacySimilarity().
 class ResnikMeasure : public SimilarityMeasure {
  public:

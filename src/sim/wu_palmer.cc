@@ -27,7 +27,6 @@ double WuPalmerMeasure::Similarity(const wordnet::SemanticNetwork& network,
                                    wordnet::ConceptId a,
                                    wordnet::ConceptId b) const {
   if (a == b) return 1.0;
-  if (!network.finalized()) return LegacySimilarity(network, a, b);
   // LCS = common ancestor minimizing len_a + len_b (ties toward depth),
   // found by the SIMD intersect of the two id-sorted ancestor arrays.
   // The score only depends on (best_sum, best_depth); the (sum, depth)

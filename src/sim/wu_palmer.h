@@ -15,11 +15,11 @@ namespace xsdf::sim {
 /// ancestor, e.g. across parts of speech) score 0; identical concepts
 /// score 1.
 ///
-/// On a finalized network the LCS search is a linear merge of the two
-/// precomputed id-sorted ancestor arrays plus depth-table reads —
-/// bit-identical to (and much faster than) the legacy per-pair upward
-/// BFS, which remains available as LegacySimilarity() for equivalence
-/// tests and kernel benchmarks.
+/// The LCS search is a linear merge of the two precomputed id-sorted
+/// ancestor arrays plus depth-table reads (network must be finalized)
+/// — bit-identical to (and much faster than) the legacy per-pair
+/// upward BFS, which remains available as LegacySimilarity() for
+/// equivalence tests and kernel benchmarks.
 class WuPalmerMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,
@@ -27,9 +27,8 @@ class WuPalmerMeasure : public SimilarityMeasure {
                     wordnet::ConceptId b) const override;
   std::string name() const override { return "wu-palmer"; }
 
-  /// The pre-interning implementation (hash-map ancestor walks); used
-  /// when the network is not finalized, and as the oracle the id-based
-  /// kernel is verified against.
+  /// The pre-interning implementation (hash-map ancestor walks); the
+  /// oracle the id-based kernel is verified against.
   static double LegacySimilarity(const wordnet::SemanticNetwork& network,
                                  wordnet::ConceptId a,
                                  wordnet::ConceptId b);

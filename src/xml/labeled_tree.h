@@ -61,10 +61,9 @@ class LabeledTree {
   NodeId AddNode(NodeId parent, std::string label, TreeNodeKind kind,
                  std::string raw = {});
 
-  /// Same, with the label's interned id (core::LabelSpace). Trees whose
-  /// every node carries an id run the id-based sphere/vector pipeline;
-  /// a single id-less AddNode() drops the whole tree back to the
-  /// string path (has_label_ids() turns false).
+  /// Same, with the label's interned id (core::LabelSpace). The
+  /// disambiguator's per-node entry points need every node to carry an
+  /// id; a single id-less AddNode() makes has_label_ids() false.
   NodeId AddNode(NodeId parent, std::string label, uint32_t label_id,
                  TreeNodeKind kind, std::string raw = {});
 
@@ -206,23 +205,18 @@ struct TreeBuildOptions {
   std::function<std::vector<std::string>(const std::string&)>
       value_tokenizer;
 
-  /// Interns a (transformed) label and returns its id; when set, every
-  /// built node carries the id and the tree satisfies
-  /// has_label_ids(). The core pipeline plugs core::LabelSpace in here.
-  std::function<uint32_t(std::string_view)> label_resolver;
-
-  /// Fused alternative to label_transform + label_resolver: maps a raw
-  /// tag name straight to its preprocessed label and interned id, so a
-  /// memoizing producer answers one hash probe per node instead of a
-  /// transform probe plus a resolver probe. The returned reference
-  /// must stay valid for the duration of the build (memo entries do).
-  /// Takes precedence over the unfused hooks when set.
+  /// Alternative to label_transform that maps a raw tag name straight
+  /// to its preprocessed label and interned id (trees built through
+  /// the unfused hooks carry no ids), so a memoizing producer answers
+  /// one hash probe per node. The returned reference must stay valid
+  /// for the duration of the build (memo entries do). Takes precedence
+  /// over label_transform when set. The core pipeline plugs its
+  /// pre-processing and core::LabelSpace in here.
   std::function<const ResolvedLabel&(const std::string&)>
       resolved_label_transform;
 
-  /// Fused alternative to value_tokenizer + label_resolver for text
-  /// values, under the same reference-lifetime contract. Takes
-  /// precedence over value_tokenizer when set.
+  /// The same for text values, under the same reference-lifetime
+  /// contract. Takes precedence over value_tokenizer when set.
   std::function<const std::vector<ResolvedLabel>&(const std::string&)>
       resolved_value_tokenizer;
 };

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/disambiguator.h"
+#include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "wordnet/mini_wordnet.h"
@@ -35,6 +37,13 @@ const char* kFigure1Doc1 = R"(<?xml version="1.0"?>
 </films>)";
 
 /// Assignment for the first node with this label, or nullptr.
+/// The labeled tree of `xml`, interned through `system`'s label space —
+/// what the per-node entry points require.
+Result<xml::LabeledTree> TreeFor(const Disambiguator& system,
+                                 const std::string& xml) {
+  return BuildTreeStreaming(xml, Network(), {}, true, system.label_space());
+}
+
 const SenseAssignment* FindByLabel(const SemanticTree& result,
                                    const std::string& label) {
   for (const auto& node : result.tree.nodes()) {
@@ -131,13 +140,16 @@ TEST(DisambiguatorTest, StructureOnlyDropsTokens) {
 }
 
 TEST(DisambiguatorTest, ProcessesProduceDifferentScores) {
+  // Both systems resolve ids through one space, so one tree serves both.
+  LabelSpace space(&Network());
   DisambiguatorOptions concept_options;
   concept_options.process = DisambiguationProcess::kConceptBased;
-  DisambiguatorOptions context_options;
+  concept_options.label_space = &space;
+  DisambiguatorOptions context_options = concept_options;
   context_options.process = DisambiguationProcess::kContextBased;
   Disambiguator concept_system(&Network(), concept_options);
   Disambiguator context_system(&Network(), context_options);
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
+  auto tree = TreeFor(concept_system, kFigure1Doc1);
   ASSERT_TRUE(tree.ok());
   // Find the "cast" node.
   xml::NodeId cast = xml::kInvalidNode;
@@ -168,12 +180,35 @@ TEST(DisambiguatorTest, CombinedProcessBlends) {
 }
 
 TEST(DisambiguatorTest, DisambiguateNodeErrorsOnSenselessLabel) {
-  auto tree = BuildTreeFromXml("<zzunknownzz/>", Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, "<zzunknownzz/>");
+  ASSERT_TRUE(tree.ok());
   auto assignment = system.DisambiguateNode(*tree, 0);
   ASSERT_FALSE(assignment.ok());
   EXPECT_EQ(assignment.status().code(), StatusCode::kNotFound);
+}
+
+TEST(DisambiguatorTest, PerNodeEntryPointsRejectIdLessTrees) {
+  // Per-node calls have one path: a tree without label ids is a caller
+  // error, not a cue to fall back to string labels.
+  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
+  ASSERT_TRUE(tree.ok());
+  ASSERT_FALSE(tree->has_label_ids());
+  Disambiguator system(&Network());
+  auto assignment = system.DisambiguateNode(*tree, 0);
+  ASSERT_FALSE(assignment.ok());
+  EXPECT_EQ(assignment.status().code(), StatusCode::kInvalidArgument);
+  auto audit = system.ExplainNode(*tree, 0);
+  ASSERT_FALSE(audit.ok());
+  EXPECT_EQ(audit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(system.ScoreCandidates(*tree, 0).empty());
+  // RunOnTree interns the labels itself and matches RunOnXml.
+  auto from_tree = system.RunOnTree(*tree);
+  auto from_xml = system.RunOnXml(kFigure1Doc1);
+  ASSERT_TRUE(from_tree.ok());
+  ASSERT_TRUE(from_xml.ok());
+  EXPECT_EQ(SemanticTreeToXml(*from_tree, Network()),
+            SemanticTreeToXml(*from_xml, Network()));
 }
 
 TEST(DisambiguatorTest, MalformedXmlPropagatesError) {
@@ -213,9 +248,9 @@ TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
   // chosen sense, score, and ambiguity are byte-identical to what the
   // batch pipeline assigns — audit capture must not perturb the
   // floating-point accumulation.
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   size_t audited = 0;
   for (const auto& node : tree->nodes()) {
     auto assignment = system.DisambiguateNode(*tree, node.id);
@@ -243,9 +278,9 @@ TEST(ExplainNodeTest, ReproducesDisambiguateNodeExactly) {
 }
 
 TEST(ExplainNodeTest, MarginSeparatesTopTwoCandidates) {
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   for (const auto& node : tree->nodes()) {
     if (node.label != "star") continue;
     auto audit = system.ExplainNode(*tree, node.id);
@@ -266,9 +301,9 @@ TEST(ExplainNodeTest, MarginSeparatesTopTwoCandidates) {
 }
 
 TEST(ExplainNodeTest, SingleCandidateAuditsAsScoreOne) {
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   for (const auto& node : tree->nodes()) {
     if (node.label != "wheelchair") continue;
     auto audit = system.ExplainNode(*tree, node.id);
@@ -282,18 +317,18 @@ TEST(ExplainNodeTest, SingleCandidateAuditsAsScoreOne) {
 }
 
 TEST(ExplainNodeTest, SenselessLabelReturnsNotFound) {
-  auto tree = BuildTreeFromXml("<zzunknownzz/>", Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, "<zzunknownzz/>");
+  ASSERT_TRUE(tree.ok());
   auto audit = system.ExplainNode(*tree, 0);
   ASSERT_FALSE(audit.ok());
   EXPECT_EQ(audit.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ExplainNodeTest, JsonRenderingCarriesTheDecomposition) {
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
-  ASSERT_TRUE(tree.ok());
   Disambiguator system(&Network());
+  auto tree = TreeFor(system, kFigure1Doc1);
+  ASSERT_TRUE(tree.ok());
   for (const auto& node : tree->nodes()) {
     if (node.label != "star") continue;
     auto audit = system.ExplainNode(*tree, node.id);

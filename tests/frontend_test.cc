@@ -1,20 +1,28 @@
 // Tests for the interned, arena-backed front end: the bump arena, the
 // engine-wide label id space (cross-document id stability, exact-
-// spelling injectivity), and the headline contract — the id-based
-// sphere/vector/scoring pipeline produces BIT-identical disambiguation
-// output to the legacy string pipeline, single-threaded and through
-// the engine at 1 and 8 workers, including the `explain` audit JSON.
+// spelling injectivity), and the headline contract — the id pipeline's
+// disambiguation output is pinned bit for bit by checked-in goldens,
+// single-threaded and through the engine at 1 and 8 workers, including
+// the `explain` audit JSON.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/strings.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/scores.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "runtime/engine.h"
@@ -197,7 +205,16 @@ TEST(LabelSpaceTest, ConceptLabelIdsJoinTheSameSpace) {
   }
 }
 
-// ===================== Id-path bit identity =======================
+// ===================== Id-pipeline golden =========================
+//
+// The disambiguation output of the id pipeline, pinned byte for byte
+// against checked-in goldens under tests/golden/id_pipeline_*.txt:
+// every assignment's node, senses, score and ambiguity bits and
+// candidate count, a digest of each document's semantic XML, a digest
+// of every node's explain audit JSON, and the engine's output at 1 and
+// 8 workers. Regenerate only after an intentional output change:
+//   XSDF_UPDATE_GOLDEN=1 ./frontend_test
+// rewrites the goldens in the source tree; review the diff like code.
 
 std::vector<std::string> CorpusXml() {
   std::vector<std::string> xml;
@@ -211,111 +228,175 @@ std::vector<std::string> CorpusXml() {
   return xml;
 }
 
-core::DisambiguatorOptions LegacyOptions() {
-  core::DisambiguatorOptions options;
-  options.use_id_frontend = false;
-  return options;
+/// 64-bit FNV-1a: a stable digest for byte strings too long to inline.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
 }
 
-void ExpectBitIdentical(const core::SemanticTree& id_result,
-                        const core::SemanticTree& legacy_result) {
-  ASSERT_EQ(id_result.assignments.size(), legacy_result.assignments.size());
-  for (const auto& [node, assignment] : id_result.assignments) {
-    auto it = legacy_result.assignments.find(node);
-    ASSERT_NE(it, legacy_result.assignments.end()) << "node " << node;
-    EXPECT_EQ(assignment.sense, it->second.sense) << "node " << node;
-    // Bitwise double equality — the id pipeline's arithmetic must be
-    // the legacy pipeline's arithmetic, not merely close to it.
-    EXPECT_EQ(assignment.score, it->second.score) << "node " << node;
-    EXPECT_EQ(assignment.ambiguity, it->second.ambiguity);
-    EXPECT_EQ(assignment.candidate_count, it->second.candidate_count);
+std::string Hex(uint64_t value) {
+  return StrFormat("%016llx", static_cast<unsigned long long>(value));
+}
+
+std::string Bits(double value) {
+  return Hex(std::bit_cast<uint64_t>(value));
+}
+
+/// One line per assignment (in node order), after a per-document line
+/// carrying the semantic XML digest.
+void AppendSemanticTree(size_t doc, const core::SemanticTree& result,
+                        std::string* out) {
+  std::string semantic_xml = core::SemanticTreeToXml(result, Network());
+  *out += StrFormat("doc %zu xml %s len %zu assignments %zu\n", doc,
+                    Hex(Fnv1a(semantic_xml)).c_str(), semantic_xml.size(),
+                    result.assignments.size());
+  std::vector<xml::NodeId> nodes;
+  for (const auto& entry : result.assignments) nodes.push_back(entry.first);
+  std::sort(nodes.begin(), nodes.end());
+  for (xml::NodeId node : nodes) {
+    const core::SenseAssignment& a = result.assignments.at(node);
+    *out += StrFormat("  node %d sense %d/%d score %s amb %s cands %d\n",
+                      node, a.sense.primary, a.sense.secondary,
+                      Bits(a.score).c_str(), Bits(a.ambiguity).c_str(),
+                      a.candidate_count);
   }
-  EXPECT_EQ(core::SemanticTreeToXml(id_result, Network()),
-            core::SemanticTreeToXml(legacy_result, Network()));
+}
+
+std::string RunReport(const core::DisambiguatorOptions& options) {
+  core::Disambiguator system(&Network(), options);
+  std::string out;
+  std::vector<std::string> corpus = CorpusXml();
+  for (size_t doc = 0; doc < corpus.size(); ++doc) {
+    auto result = system.RunOnXml(corpus[doc]);
+    if (!result.ok()) {
+      out += StrFormat("doc %zu error %s\n", doc,
+                       result.status().ToString().c_str());
+      continue;
+    }
+    AppendSemanticTree(doc, *result, &out);
+  }
+  return out;
+}
+
+/// Compares `report` against tests/golden/<name>, or rewrites the
+/// golden when XSDF_UPDATE_GOLDEN is set. A mismatch names the first
+/// differing line instead of dumping both reports.
+void ExpectMatchesGolden(const std::string& name, const std::string& report) {
+  const std::string path = std::string(XSDF_SOURCE_DIR "/tests/golden/") +
+                           name;
+  if (std::getenv("XSDF_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << report;
+    ASSERT_TRUE(out.good());
+    std::printf("golden rewritten: %s\n", path.c_str());
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << path
+                  << " missing; run with XSDF_UPDATE_GOLDEN=1 to create";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string golden = buffer.str();
+  if (report == golden) return;
+  std::istringstream got(report);
+  std::istringstream want(golden);
+  std::string got_line;
+  std::string want_line;
+  for (size_t line = 1;; ++line) {
+    const bool more_got = static_cast<bool>(std::getline(got, got_line));
+    const bool more_want = static_cast<bool>(std::getline(want, want_line));
+    if (!more_got && !more_want) break;
+    if (!more_got || !more_want || got_line != want_line) {
+      ADD_FAILURE() << name << " differs at line " << line << "\n  golden: "
+                    << (more_want ? want_line : "<end>")
+                    << "\n  actual: " << (more_got ? got_line : "<end>");
+      return;
+    }
+  }
+  ADD_FAILURE() << name << " differs (line endings)";
 }
 
 TEST(IdFrontendBitIdentityTest, SingleThreadedConceptProcess) {
-  core::Disambiguator id_system(&Network());
-  core::Disambiguator legacy_system(&Network(), LegacyOptions());
-  for (const std::string& xml : CorpusXml()) {
-    auto id_result = id_system.RunOnXml(xml);
-    auto legacy_result = legacy_system.RunOnXml(xml);
-    ASSERT_EQ(id_result.ok(), legacy_result.ok());
-    if (!id_result.ok()) continue;
-    ExpectBitIdentical(*id_result, *legacy_result);
-  }
+  ExpectMatchesGolden("id_pipeline_concept.txt",
+                      RunReport(core::DisambiguatorOptions{}));
 }
 
 TEST(IdFrontendBitIdentityTest, CombinedProcessBothVectorSimilarities) {
+  std::string report;
   for (auto vector_similarity : {core::VectorSimilarity::kCosine,
                                  core::VectorSimilarity::kJaccard}) {
-    core::DisambiguatorOptions id_options;
-    id_options.process = core::DisambiguationProcess::kCombined;
-    id_options.combination_weights = {0.6, 0.4};
-    id_options.vector_similarity = vector_similarity;
-    core::DisambiguatorOptions legacy_options = id_options;
-    legacy_options.use_id_frontend = false;
-    core::Disambiguator id_system(&Network(), id_options);
-    core::Disambiguator legacy_system(&Network(), legacy_options);
-    for (const std::string& xml : CorpusXml()) {
-      auto id_result = id_system.RunOnXml(xml);
-      auto legacy_result = legacy_system.RunOnXml(xml);
-      ASSERT_EQ(id_result.ok(), legacy_result.ok());
-      if (!id_result.ok()) continue;
-      ExpectBitIdentical(*id_result, *legacy_result);
-    }
+    core::DisambiguatorOptions options;
+    options.process = core::DisambiguationProcess::kCombined;
+    options.combination_weights = {0.6, 0.4};
+    options.vector_similarity = vector_similarity;
+    report += vector_similarity == core::VectorSimilarity::kCosine
+                  ? "# combined 0.6/0.4 cosine\n"
+                  : "# combined 0.6/0.4 jaccard\n";
+    report += RunReport(options);
   }
+  ExpectMatchesGolden("id_pipeline_combined.txt", report);
 }
 
 TEST(IdFrontendBitIdentityTest, ExplainAuditJsonIsByteIdentical) {
-  core::LabelSpace space(&Network());
-  core::DisambiguatorOptions id_options;
-  // The tree's label ids come from `space`, so the disambiguator must
-  // resolve senses against the same id universe.
-  id_options.label_space = &space;
-  core::Disambiguator id_system(&Network(), id_options);
-  core::Disambiguator legacy_system(&Network(), LegacyOptions());
-  for (const std::string& xml : CorpusXml()) {
-    auto id_tree = core::BuildTreeFromXml(xml, Network(), true, &space);
-    auto legacy_tree = core::BuildTreeFromXml(xml, Network(), true);
-    if (!id_tree.ok() || !legacy_tree.ok()) continue;
-    ASSERT_TRUE(id_tree->has_label_ids());
-    for (size_t id = 0; id < id_tree->size(); ++id) {
-      auto id_audit =
-          id_system.ExplainNode(*id_tree, static_cast<xml::NodeId>(id));
-      auto legacy_audit = legacy_system.ExplainNode(
-          *legacy_tree, static_cast<xml::NodeId>(id));
-      ASSERT_EQ(id_audit.ok(), legacy_audit.ok());
-      if (!id_audit.ok()) continue;
-      EXPECT_EQ(core::NodeAuditToJson(*id_audit, Network()),
-                core::NodeAuditToJson(*legacy_audit, Network()));
+  core::Disambiguator system(&Network());
+  std::string report;
+  std::vector<std::string> corpus = CorpusXml();
+  for (size_t doc = 0; doc < corpus.size(); ++doc) {
+    // Built through the disambiguator's own label space, as `xsdf
+    // explain` and the daemon's /explain do.
+    auto tree = core::BuildTreeStreaming(corpus[doc], Network(), {}, true,
+                                         system.label_space());
+    if (!tree.ok()) {
+      report += StrFormat("doc %zu error %s\n", doc,
+                          tree.status().ToString().c_str());
+      continue;
+    }
+    for (size_t id = 0; id < tree->size(); ++id) {
+      auto audit = system.ExplainNode(*tree, static_cast<xml::NodeId>(id));
+      if (!audit.ok()) {
+        report += StrFormat("doc %zu node %zu %s\n", doc, id,
+                            audit.status().ToString().c_str());
+        continue;
+      }
+      std::string json = core::NodeAuditToJson(*audit, Network());
+      report += StrFormat("doc %zu node %zu audit %s len %zu\n", doc, id,
+                          Hex(Fnv1a(json)).c_str(), json.size());
     }
   }
+  ExpectMatchesGolden("id_pipeline_explain.txt", report);
 }
 
-std::vector<std::string> RunEngine(int threads, bool use_id_frontend) {
+std::string RunEngine(int threads) {
   runtime::EngineOptions options;
   options.threads = threads;
-  options.disambiguator.use_id_frontend = use_id_frontend;
   runtime::DisambiguationEngine engine(&Network(), options);
   std::vector<runtime::DocumentJob> jobs;
   size_t index = 0;
   for (const std::string& xml : CorpusXml()) {
     jobs.push_back({index++, "doc", xml});
   }
-  std::vector<std::string> trees;
+  std::string report;
   for (auto& result : engine.RunBatch(std::move(jobs))) {
-    trees.push_back(result.ok ? result.semantic_xml
-                              : "error: " + result.error);
+    report += result.ok ? StrFormat("doc %zu xml %s len %zu assignments %zu\n",
+                                    result.index,
+                                    Hex(Fnv1a(result.semantic_xml)).c_str(),
+                                    result.semantic_xml.size(),
+                                    result.assignment_count)
+                        : StrFormat("doc %zu error %s\n", result.index,
+                                    result.error.c_str());
   }
-  return trees;
+  return report;
 }
 
-TEST(IdFrontendBitIdentityTest, EngineOneAndEightWorkersMatchLegacy) {
-  std::vector<std::string> legacy = RunEngine(1, /*use_id_frontend=*/false);
-  EXPECT_EQ(RunEngine(1, /*use_id_frontend=*/true), legacy);
-  EXPECT_EQ(RunEngine(8, /*use_id_frontend=*/true), legacy);
-  EXPECT_EQ(RunEngine(8, /*use_id_frontend=*/false), legacy);
+TEST(IdFrontendBitIdentityTest, EngineOneAndEightWorkersMatchGolden) {
+  std::string one = RunEngine(1);
+  ExpectMatchesGolden("id_pipeline_engine.txt", one);
+  EXPECT_EQ(RunEngine(8), one);
 }
 
 }  // namespace

@@ -661,37 +661,16 @@ TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {
             stats.assignments);
   EXPECT_EQ(metrics.GetCounter("engine.failures")->Value(), 0u);
 
-  // Every document contributes one sample to each per-stage histogram.
-  // The default streaming front end fuses parse + tree build into one
-  // pass recorded as stage.parse_us; stage.tree_build_us stays
-  // registered but unsampled (the DOM case is checked below).
+  // Every document contributes one sample to each per-stage histogram
+  // (stage.parse_us covers the fused parse + tree build).
   for (const char* name :
        {"stage.parse_us", "stage.select_us",
         "stage.serialize_us", "engine.job_wait_us", "engine.job_run_us"}) {
     EXPECT_EQ(metrics.GetHistogram(name)->Snapshot().count, jobs.size())
         << name;
   }
-  EXPECT_EQ(metrics.GetHistogram("stage.tree_build_us")->Snapshot().count,
-            0u);
   EXPECT_GT(metrics.GetHistogram("core.node_candidates")->Snapshot().count,
             0u);
-
-  // The two-pass DOM oracle front end still samples tree_build_us (and
-  // the arena histograms) once per document.
-  obs::MetricsRegistry dom_metrics;
-  EngineOptions dom_options;
-  dom_options.threads = 2;
-  dom_options.streaming_frontend = false;
-  dom_options.metrics = &dom_metrics;
-  DisambiguationEngine dom_engine(&Network(), dom_options);
-  for (const auto& result : dom_engine.RunBatch(jobs)) {
-    ASSERT_TRUE(result.ok) << result.name;
-  }
-  for (const char* name :
-       {"stage.parse_us", "stage.tree_build_us", "xml.arena_used_bytes"}) {
-    EXPECT_EQ(dom_metrics.GetHistogram(name)->Snapshot().count, jobs.size())
-        << name;
-  }
 
   // Cache gauges appear after publishing.
   engine.PublishStatsToMetrics();

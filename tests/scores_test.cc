@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/disambiguator.h"
+#include "core/label_space.h"
 #include "core/scores.h"
 #include "core/tree_builder.h"
 #include "wordnet/mini_wordnet.h"
@@ -32,6 +34,32 @@ ConceptId Key(const char* key) {
   return *id;
 }
 
+/// The label id space every tree below is interned through.
+LabelSpace& Space() {
+  static LabelSpace* space = new LabelSpace(&Network());
+  return *space;
+}
+
+/// Interns every node label of `tree` through Space().
+LabeledTree WithIds(LabeledTree tree) {
+  for (NodeId id = 0; id < static_cast<NodeId>(tree.size()); ++id) {
+    tree.set_label_id(id, Space().Resolve(tree.node(id).label));
+  }
+  return tree;
+}
+
+IdSphere XmlSphere(const LabeledTree& tree, NodeId center, int radius) {
+  return BuildXmlIdSphere(tree, tree.label_ids(), center, radius);
+}
+
+/// Concept_Score of `candidate` over `sphere` (Definition 8).
+double ConceptScore(const sim::CombinedMeasure& measure,
+                    const SenseCandidate& candidate, const IdSphere& sphere) {
+  IdContextVector vector(sphere);
+  return IdResolvedContext(Space(), sphere, vector)
+      .Score(Network(), measure, candidate);
+}
+
 LabeledTree MovieTree() {
   LabeledTree tree;
   NodeId films = tree.AddNode(kInvalidNode, "film",
@@ -45,7 +73,7 @@ LabeledTree MovieTree() {
   NodeId director = tree.AddNode(picture, "director",
                                  TreeNodeKind::kElement);
   tree.AddNode(director, "hitchcock", TreeNodeKind::kToken);
-  return tree;
+  return WithIds(std::move(tree));
 }
 
 TEST(EnumerateCandidatesTest, SimpleLabel) {
@@ -87,15 +115,12 @@ TEST(EnumerateCandidatesTest, CompoundWithOneSenselessToken) {
 
 TEST(ConceptScoreTest, RangeAndDiscrimination) {
   LabeledTree tree = MovieTree();
-  Sphere sphere = BuildXmlSphere(tree, 3, 2);  // around first "star"
-  ContextVector vector(sphere);
+  IdSphere sphere = XmlSphere(tree, 3, 2);  // around first "star"
   sim::CombinedMeasure measure;
   double performer = ConceptScore(
-      Network(), measure, {Key("star.performer.n"), wordnet::kInvalidConcept},
-      sphere, vector);
+      measure, {Key("star.performer.n"), wordnet::kInvalidConcept}, sphere);
   double celestial = ConceptScore(
-      Network(), measure, {Key("star.celestial.n"), wordnet::kInvalidConcept},
-      sphere, vector);
+      measure, {Key("star.celestial.n"), wordnet::kInvalidConcept}, sphere);
   EXPECT_GE(performer, 0.0);
   EXPECT_LE(performer, 1.0);
   // Surrounded by cast/director/kelly/stewart, the performer sense
@@ -106,36 +131,33 @@ TEST(ConceptScoreTest, RangeAndDiscrimination) {
 TEST(ConceptScoreTest, EmptySphereScoresZero) {
   LabeledTree tree;
   tree.AddNode(kInvalidNode, "star", TreeNodeKind::kElement);
-  Sphere sphere = BuildXmlSphere(tree, 0, 2);  // only the center
-  ContextVector vector(sphere);
+  tree = WithIds(std::move(tree));
+  IdSphere sphere = XmlSphere(tree, 0, 2);  // only the center
   sim::CombinedMeasure measure;
   EXPECT_DOUBLE_EQ(
-      ConceptScore(Network(), measure,
+      ConceptScore(measure,
                    {Key("star.performer.n"), wordnet::kInvalidConcept},
-                   sphere, vector),
+                   sphere),
       0.0);
 }
 
 TEST(ConceptScoreTest, CompoundCandidateAveragesPair) {
   LabeledTree tree = MovieTree();
-  Sphere sphere = BuildXmlSphere(tree, 3, 2);
-  ContextVector vector(sphere);
+  IdSphere sphere = XmlSphere(tree, 3, 2);
   sim::CombinedMeasure measure;
   SenseCandidate compound{Key("movie.n"), Key("star.performer.n")};
-  double score = ConceptScore(Network(), measure, compound, sphere,
-                              vector);
+  double score = ConceptScore(measure, compound, sphere);
   EXPECT_GT(score, 0.0);
   EXPECT_LE(score, 1.0);
 }
 
 TEST(ContextScoreTest, MatchingDomainsScoreHigher) {
   LabeledTree tree = MovieTree();
-  Sphere sphere = BuildXmlSphere(tree, 3, 2);
-  ContextVector vector(sphere);
-  double performer = ContextScore(
+  IdContextVector vector(XmlSphere(tree, 3, 2));
+  double performer = IdContextScore(
       Network(), {Key("star.performer.n"), wordnet::kInvalidConcept},
       vector, 2);
-  double celestial = ContextScore(
+  double celestial = IdContextScore(
       Network(), {Key("star.celestial.n"), wordnet::kInvalidConcept},
       vector, 2);
   EXPECT_GE(performer, 0.0);
@@ -145,33 +167,51 @@ TEST(ContextScoreTest, MatchingDomainsScoreHigher) {
 
 TEST(ContextScoreTest, CompoundUsesUnionSphere) {
   LabeledTree tree = MovieTree();
-  ContextVector vector(BuildXmlSphere(tree, 3, 2));
+  IdContextVector vector(XmlSphere(tree, 3, 2));
   SenseCandidate compound{Key("movie.n"), Key("star.performer.n")};
-  double score = ContextScore(Network(), compound, vector, 2);
+  double score = IdContextScore(Network(), compound, vector, 2);
   EXPECT_GE(score, 0.0);
   EXPECT_LE(score, 1.0);
 }
 
 TEST(CombinedScoreTest, Equation13Blend) {
+  // The combined process scores each candidate as
+  // w_concept * Concept_Score + w_context * Context_Score; with the
+  // frequency prior off, the disambiguator's per-candidate scores are
+  // exactly that blend of the two single-process scores.
   LabeledTree tree = MovieTree();
-  Sphere sphere = BuildXmlSphere(tree, 3, 2);
-  ContextVector vector(sphere);
-  sim::CombinedMeasure measure;
-  SenseCandidate candidate{Key("star.performer.n"),
-                           wordnet::kInvalidConcept};
-  double concept_score =
-      ConceptScore(Network(), measure, candidate, sphere, vector);
-  double context_score = ContextScore(Network(), candidate, vector, 2);
-  double blended = CombinedScore(Network(), measure, candidate, sphere,
-                                 vector, 2, {0.6, 0.4});
-  EXPECT_NEAR(blended, 0.6 * concept_score + 0.4 * context_score, 1e-12);
+  const NodeId star = 3;
+  auto scores = [&](DisambiguationProcess process,
+                    CombinationWeights weights) {
+    DisambiguatorOptions options;
+    options.label_space = &Space();
+    options.frequency_prior = 0.0;
+    options.process = process;
+    options.combination_weights = weights;
+    return Disambiguator(&Network(), options).ScoreCandidates(tree, star);
+  };
+  std::vector<double> concept_scores =
+      scores(DisambiguationProcess::kConceptBased, {});
+  std::vector<double> context_scores =
+      scores(DisambiguationProcess::kContextBased, {});
+  std::vector<double> blended =
+      scores(DisambiguationProcess::kCombined, {0.6, 0.4});
+  ASSERT_GT(blended.size(), 1u);
+  ASSERT_EQ(concept_scores.size(), blended.size());
+  ASSERT_EQ(context_scores.size(), blended.size());
+  for (size_t i = 0; i < blended.size(); ++i) {
+    EXPECT_NEAR(blended[i], 0.6 * concept_scores[i] + 0.4 * context_scores[i],
+                1e-12);
+  }
   // Degenerate weights reduce to the individual scores.
-  EXPECT_NEAR(CombinedScore(Network(), measure, candidate, sphere,
-                            vector, 2, {1.0, 0.0}),
-              concept_score, 1e-12);
-  EXPECT_NEAR(CombinedScore(Network(), measure, candidate, sphere,
-                            vector, 2, {0.0, 1.0}),
-              context_score, 1e-12);
+  std::vector<double> concept_only =
+      scores(DisambiguationProcess::kCombined, {1.0, 0.0});
+  std::vector<double> context_only =
+      scores(DisambiguationProcess::kCombined, {0.0, 1.0});
+  for (size_t i = 0; i < blended.size(); ++i) {
+    EXPECT_NEAR(concept_only[i], concept_scores[i], 1e-12);
+    EXPECT_NEAR(context_only[i], context_scores[i], 1e-12);
+  }
 }
 
 }  // namespace

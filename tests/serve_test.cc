@@ -172,6 +172,67 @@ TEST(ServeTest, DeadlineAlreadyExpiredReturns504) {
   EXPECT_EQ(response->status, 504);
 }
 
+// The deadline header is optional: a request without it runs to
+// completion, one with a generous budget too, and both answer exactly
+// what the engine does. Under ASan this also guards the header-less
+// path against reading the lookup's fallback after it is destroyed.
+TEST(ServeTest, DisambiguateWithAndWithoutDeadlineHeader) {
+  auto network = BuildTinyTaxonomy(0);
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 1;
+  Server server(options);
+  ASSERT_TRUE(server.InstallLexicon(network, "tiny").ok());
+  ASSERT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+
+  const std::string xml = "<animal><cat/><dog/></animal>";
+  const std::string expected = EngineAnswer(*network, xml);
+  auto without = HttpCall(kHost, server.port(), "POST", "/disambiguate", {},
+                          xml, kClientTimeoutMs);
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+  EXPECT_EQ(without->status, 200);
+  EXPECT_EQ(without->body, expected);
+  auto with = HttpCall(kHost, server.port(), "POST", "/disambiguate",
+                       {{"X-Xsdf-Deadline-Ms", "60000"}}, xml,
+                       kClientTimeoutMs);
+  ASSERT_TRUE(with.ok()) << with.status().ToString();
+  EXPECT_EQ(with->status, 200);
+  EXPECT_EQ(with->body, expected);
+}
+
+// The daemon's parse limits bind every endpoint that parses a body: a
+// document nested deeper than --max-depth is refused by /explain just
+// as by /disambiguate, and one within the limit is served by both.
+TEST(ServeTest, ParseLimitsBindDisambiguateAndExplain) {
+  auto network = BuildTinyTaxonomy(0);
+  ServeOptions options;
+  options.port = 0;
+  options.engine.threads = 1;
+  options.engine.parse_limits.max_depth = 4;
+  Server server(options);
+  ASSERT_TRUE(server.InstallLexicon(network, "tiny").ok());
+  ASSERT_TRUE(server.Start().ok());
+  ServerRunner runner(&server);
+
+  const std::string deep =
+      "<animal><animal><animal><animal><animal><cat/></animal></animal>"
+      "</animal></animal></animal>";
+  const std::string shallow = "<animal><cat/></animal>";
+  for (const char* path : {"/disambiguate", "/explain?node=cat"}) {
+    auto refused = HttpCall(kHost, server.port(), "POST", path, {}, deep,
+                            kClientTimeoutMs);
+    ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+    EXPECT_EQ(refused->status, 400) << path << ": " << refused->body;
+    EXPECT_NE(refused->body.find("max_depth"), std::string::npos)
+        << path << ": " << refused->body;
+    auto served = HttpCall(kHost, server.port(), "POST", path, {}, shallow,
+                           kClientTimeoutMs);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->status, 200) << path << ": " << served->body;
+  }
+}
+
 TEST(ServeTest, OverloadShedsWith429) {
   auto network = MiniNetwork();
   ServeOptions options;
@@ -707,9 +768,8 @@ TEST(ServeTest, StatsReportsRollingPercentilesAndDebugSlowHasSpans) {
   const std::string& trace = slow->body;
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   // The span tree covers the full request path: connection-side read
-  // and send, queue wait, and the engine stages. The streaming front
-  // end fuses parse + tree build into the "parse" span, so no
-  // "tree_build" span appears.
+  // and send, queue wait, and the engine stages (the "parse" span
+  // covers the fused parse + tree build).
   for (const char* span : {"\"read\"", "\"queue_wait\"", "\"parse\"",
                            "\"disambiguate\"",
                            "\"serialize\"", "\"send\""}) {

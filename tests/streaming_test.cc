@@ -2,9 +2,9 @@
 // build (core::BuildTreeStreaming) must be indistinguishable from the
 // two-pass DOM oracle (xml::Parse + core::BuildTree) — same nodes,
 // same labels, same interned ids — over arbitrary generated documents;
-// the engine's streaming mode must produce byte-identical batch output
-// to the DOM mode at any worker count; and the intra-document subtree
-// work stealing must never change a byte. Malformed, truncated, and
+// the engine's batch output must be byte-identical at any worker
+// count; and the intra-document subtree work stealing must never
+// change a byte. Malformed, truncated, and
 // over-budget giant inputs must fail with a Status, never a crash.
 
 #include <gtest/gtest.h>
@@ -75,10 +75,8 @@ TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
     ASSERT_TRUE(doc.ok()) << "doc " << i << ": " << doc.status().ToString();
 
     core::LabelSpace dom_space(&Network());
-    core::TreeBuildCache dom_cache;
     auto dom_tree = core::BuildTree(*doc, Network(),
-                                    /*include_values=*/true, &dom_space,
-                                    &dom_cache);
+                                    /*include_values=*/true, &dom_space);
 
     core::LabelSpace streaming_space(&Network());
     core::TreeBuildCache streaming_cache;
@@ -203,28 +201,19 @@ std::vector<std::string> RunEngine(const runtime::EngineOptions& options,
   return output;
 }
 
-// Batch output must be byte-identical across front end x worker count:
-// the DOM path is the bit-identity oracle for the streaming path.
-TEST(StreamingEngineTest, FrontEndsAndWorkerCountsAgreeByteForByte) {
+// Batch output must be byte-identical across worker counts.
+TEST(StreamingEngineTest, WorkerCountsAgreeByteForByte) {
   std::vector<runtime::DocumentJob> jobs = CorpusJobs();
   runtime::EngineOptions base;
   base.threads = 1;
-  base.streaming_frontend = true;
   std::vector<std::string> reference = RunEngine(base, jobs);
 
-  for (bool streaming : {true, false}) {
-    for (int threads : {1, 8}) {
-      runtime::EngineOptions options;
-      options.threads = threads;
-      options.streaming_frontend = streaming;
-      std::vector<std::string> output = RunEngine(options, jobs);
-      ASSERT_EQ(output.size(), reference.size());
-      for (size_t i = 0; i < output.size(); ++i) {
-        ASSERT_EQ(output[i], reference[i])
-            << jobs[i].name << " under streaming=" << streaming
-            << " threads=" << threads;
-      }
-    }
+  runtime::EngineOptions options;
+  options.threads = 8;
+  std::vector<std::string> output = RunEngine(options, jobs);
+  ASSERT_EQ(output.size(), reference.size());
+  for (size_t i = 0; i < output.size(); ++i) {
+    ASSERT_EQ(output[i], reference[i]) << jobs[i].name;
   }
 }
 
@@ -268,31 +257,27 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
 }
 
 // Oversized / truncated giant inputs through the full engine: a failed
-// document is a DocumentResult error, never a crash, on both front
-// ends — and the parse_limits plumbing (the --max-input-bytes /
-// --max-depth flags) actually reaches the parser.
+// document is a DocumentResult error, never a crash — and the
+// parse_limits plumbing (the --max-input-bytes / --max-depth flags)
+// actually reaches the parser.
 TEST(StreamingEngineTest, GiantBudgetViolationsFailPerDocument) {
   auto giant = datasets::GiantDocuments(1, /*target_bytes=*/256u << 10, 5);
-  for (bool streaming : {true, false}) {
-    runtime::EngineOptions options;
-    options.threads = 2;
-    options.streaming_frontend = streaming;
-    options.parse_limits.max_input_bytes = 4096;
-    runtime::DisambiguationEngine engine(&Network(), options);
-    std::vector<runtime::DocumentJob> jobs;
-    jobs.push_back({0, "oversized", giant[0].xml});
-    jobs.push_back({0, "truncated",
-                    giant[0].xml.substr(0, giant[0].xml.size() / 2)});
-    jobs.push_back({0, "tiny-ok", "<films><star>Kelly</star></films>"});
-    auto results = engine.RunBatch(std::move(jobs));
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_FALSE(results[0].ok) << "streaming=" << streaming;
-    EXPECT_FALSE(results[1].ok) << "streaming=" << streaming;
-    EXPECT_TRUE(results[2].ok)
-        << "streaming=" << streaming << ": " << results[2].error;
-    runtime::EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.failures, 2u);
-  }
+  runtime::EngineOptions options;
+  options.threads = 2;
+  options.parse_limits.max_input_bytes = 4096;
+  runtime::DisambiguationEngine engine(&Network(), options);
+  std::vector<runtime::DocumentJob> jobs;
+  jobs.push_back({0, "oversized", giant[0].xml});
+  jobs.push_back({0, "truncated",
+                  giant[0].xml.substr(0, giant[0].xml.size() / 2)});
+  jobs.push_back({0, "tiny-ok", "<films><star>Kelly</star></films>"});
+  auto results = engine.RunBatch(std::move(jobs));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_FALSE(results[1].ok);
+  EXPECT_TRUE(results[2].ok) << results[2].error;
+  runtime::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.failures, 2u);
 }
 
 // The new observability gauges surface through PublishStatsToMetrics.

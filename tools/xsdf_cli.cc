@@ -36,6 +36,7 @@
 #include "core/ambiguity.h"
 #include "core/disambiguator.h"
 #include "core/node_query.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "obs/json_writer.h"
@@ -78,9 +79,6 @@ int Usage() {
       "JSON\n"
       "      --trace-out FILE    write Chrome trace-event JSON "
       "(Perfetto)\n"
-      "      --frontend F  front end: streaming (default, fused one-pass\n"
-      "                    parse+build) or dom (two-pass oracle); both\n"
-      "                    produce byte-identical output\n"
       "      --max-input-bytes N  per-document input size cap (default "
       "64MiB)\n"
       "      --max-depth N        element nesting cap (default 256)\n"
@@ -206,23 +204,6 @@ bool ParseSizeValue(const std::vector<std::string>& args, size_t* i,
   return true;
 }
 
-/// Parses the `--frontend streaming|dom` value into the engine's
-/// streaming_frontend switch; false on anything else.
-bool ParseFrontendValue(const std::vector<std::string>& args, size_t* i,
-                        bool* streaming) {
-  if (*i + 1 >= args.size()) return false;
-  ++*i;
-  if (args[*i] == "streaming") {
-    *streaming = true;
-    return true;
-  }
-  if (args[*i] == "dom") {
-    *streaming = false;
-    return true;
-  }
-  return false;
-}
-
 /// Parses the value of a `--flag VALUE` pair; false when missing.
 bool ParseStringValue(const std::vector<std::string>& args, size_t* i,
                       std::string* out) {
@@ -265,17 +246,27 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
+/// The whole content of the XML input `path`; IoError (worded as
+/// xml::ParseFile words it) when the file cannot be opened.
+xsdf::Result<std::string> ReadInputFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return xsdf::Status::IoError("cannot open file: " + path);
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
 int CmdDisambiguate(const SemanticNetwork& network, const char* path,
                     int radius) {
-  auto doc = xsdf::xml::ParseFile(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto text = ReadInputFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
     return 1;
   }
   xsdf::core::DisambiguatorOptions options;
   options.sphere_radius = radius;
   xsdf::core::Disambiguator system(&network, options);
-  auto result = system.Run(*doc);
+  auto result = system.RunOnXml(*text);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -327,7 +318,6 @@ int CmdBatch(const SemanticNetwork& network,
   int passes = 1;
   bool no_cache = false;
   bool quiet = false;
-  bool streaming_frontend = true;
   xsdf::xml::ParseLimits parse_limits;
   std::string metrics_out;
   std::string trace_out;
@@ -342,8 +332,6 @@ int CmdBatch(const SemanticNetwork& network,
       if (!ParseIntValue(args, &i, &passes)) return Usage();
     } else if (arg == "--measures") {
       if (!ParseMeasuresValue(args, &i, &measures)) return Usage();
-    } else if (arg == "--frontend") {
-      if (!ParseFrontendValue(args, &i, &streaming_frontend)) return Usage();
     } else if (arg == "--max-input-bytes") {
       if (!ParseSizeValue(args, &i, &parse_limits.max_input_bytes)) {
         return Usage();
@@ -409,7 +397,6 @@ int CmdBatch(const SemanticNetwork& network,
   options.threads = threads;
   options.disambiguator.sphere_radius = radius;
   options.disambiguator.measure_config = measures;
-  options.streaming_frontend = streaming_frontend;
   options.parse_limits = parse_limits;
   options.enable_similarity_cache = !no_cache;
   options.enable_sense_cache = !no_cache;
@@ -487,9 +474,9 @@ int CmdExplain(const SemanticNetwork& network,
   }
   if (file.empty() || query.empty() || radius < 1) return Usage();
 
-  auto doc = xsdf::xml::ParseFile(file.c_str());
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto text = ReadInputFile(file);
+  if (!text.ok()) {
+    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
     return 1;
   }
   // Same options as `xsdf batch` (the caches only move memoized values
@@ -497,8 +484,9 @@ int CmdExplain(const SemanticNetwork& network,
   xsdf::core::DisambiguatorOptions options;
   options.sphere_radius = radius;
   options.measure_config = measures;
-  auto tree =
-      xsdf::core::BuildTree(*doc, network, options.include_values);
+  xsdf::core::Disambiguator system(&network, options);
+  auto tree = xsdf::core::BuildTreeStreaming(
+      *text, network, {}, options.include_values, system.label_space());
   if (!tree.ok()) {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;
@@ -511,7 +499,6 @@ int CmdExplain(const SemanticNetwork& network,
     return 1;
   }
 
-  xsdf::core::Disambiguator system(&network, options);
   xsdf::obs::JsonWriter writer;
   writer.BeginObject();
   writer.Key("file");
@@ -621,12 +608,12 @@ int CmdGenCorpus(const std::vector<std::string>& args) {
 }
 
 int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
-  auto doc = xsdf::xml::ParseFile(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto text = ReadInputFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
     return 1;
   }
-  auto tree = xsdf::core::BuildTree(*doc, network);
+  auto tree = xsdf::core::BuildTreeStreaming(*text, network);
   if (!tree.ok()) {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;
@@ -679,13 +666,13 @@ int CmdQuery(const char* path, const char* query_text) {
 
 int CmdExpand(const SemanticNetwork& network, const char* keyword,
               const char* path) {
-  auto doc = xsdf::xml::ParseFile(path);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s\n", doc.status().ToString().c_str());
+  auto text = ReadInputFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
     return 1;
   }
   xsdf::core::Disambiguator system(&network);
-  auto result = system.Run(*doc);
+  auto result = system.RunOnXml(*text);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
