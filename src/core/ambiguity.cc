@@ -44,20 +44,25 @@ double AmbiguityDensity(const xml::LabeledTree& tree, xml::NodeId id) {
                    static_cast<double>(max_density);
 }
 
-double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
-                       const wordnet::SemanticNetwork& network,
-                       const AmbiguityWeights& weights) {
-  const std::string& label = tree.node(id).label;
+double AmbiguityDegreeFromPolysemy(const xml::LabeledTree& tree,
+                                   xml::NodeId id, double polysemy,
+                                   const AmbiguityWeights& weights) {
   // Assumption 4: a label with a single sense (or none) is unambiguous
-  // regardless of structure. AmbiguityPolysemy already evaluates to 0
-  // in that case, making the whole ratio 0.
-  double polysemy = AmbiguityPolysemy(network, label);
+  // regardless of structure. Its polysemy factor is 0, making the whole
+  // ratio 0.
   if (polysemy <= 0.0 || weights.polysemy <= 0.0) return 0.0;
   double depth_term = 1.0 - AmbiguityDepth(tree, id);
   double density_term = 1.0 - AmbiguityDensity(tree, id);
   double denominator =
       weights.depth * depth_term + weights.density * density_term + 1.0;
   return weights.polysemy * polysemy / denominator;
+}
+
+double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
+                       const wordnet::SemanticNetwork& network,
+                       const AmbiguityWeights& weights) {
+  return AmbiguityDegreeFromPolysemy(
+      tree, id, AmbiguityPolysemy(network, tree.node(id).label), weights);
 }
 
 double AverageAmbiguityDegree(const xml::LabeledTree& tree,

@@ -35,8 +35,17 @@ double AmbiguityDensity(const xml::LabeledTree& tree, xml::NodeId id);
 ///   ---------------------------------------------------
 ///   w_Dep * (1 - Amb_Depth) + w_Den * (1 - Amb_Density) + 1
 ///
-/// Monolysemous labels score 0 (Assumption 4); compound labels average
-/// their token degrees.
+/// from the node's already-known Amb_Polysemy factor `polysemy` (Eq. 1).
+/// Monolysemous labels (polysemy 0) score 0 (Assumption 4). The
+/// disambiguator feeds it the per-label memo LabelSenses::polysemy;
+/// the overload below computes the factor from the label string.
+double AmbiguityDegreeFromPolysemy(const xml::LabeledTree& tree,
+                                   xml::NodeId id, double polysemy,
+                                   const AmbiguityWeights& weights = {});
+
+/// Amb_Deg with Amb_Polysemy computed from the node's label string —
+/// for trees that carry no label ids (evaluation, raters, tools).
+/// Compound labels average their token polysemy factors.
 double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
                        const wordnet::SemanticNetwork& network,
                        const AmbiguityWeights& weights = {});
@@ -49,7 +58,8 @@ double AverageAmbiguityDegree(const xml::LabeledTree& tree,
 
 /// Nodes whose Amb_Deg >= threshold — the disambiguation targets
 /// (paper §3.3). A threshold of 0 selects every node whose label has
-/// at least one sense in the network.
+/// at least one sense in the network. String-based; the disambiguator's
+/// SelectTargets() computes the same list from label ids.
 std::vector<xml::NodeId> SelectTargetNodes(
     const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
     double threshold, const AmbiguityWeights& weights = {});

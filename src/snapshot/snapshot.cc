@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -136,6 +137,12 @@ class NetworkCodec {
     n->interner_ = std::move(interner);
     n->senses_by_token_ = std::move(senses_by_token);
     n->lemma_count_ = lemma_count;
+    // Derived, not stored: the live network keeps it in AddConcept().
+    n->max_polysemy_ = 0;
+    for (const std::vector<ConceptId>& senses : n->senses_by_token_) {
+      n->max_polysemy_ =
+          std::max(n->max_polysemy_, static_cast<int>(senses.size()));
+    }
     n->total_frequency_ = total_frequency;
     n->max_information_content_ = max_information_content;
     n->ancestor_offsets_v_ = tables.ancestor_offsets;

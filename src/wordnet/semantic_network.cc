@@ -178,6 +178,7 @@ ConceptId SemanticNetwork::AddConcept(PartOfSpeech pos,
     std::vector<ConceptId>& senses = senses_by_token_[token];
     if (senses.empty()) ++lemma_count_;
     senses.push_back(node.id);
+    max_polysemy_ = std::max(max_polysemy_, static_cast<int>(senses.size()));
   }
   node.synonyms = std::move(synonyms);
   concepts_.push_back(std::move(node));
@@ -245,14 +246,6 @@ int SemanticNetwork::SenseCount(std::string_view lemma) const {
 
 bool SemanticNetwork::Contains(std::string_view lemma) const {
   return SenseCount(lemma) > 0;
-}
-
-int SemanticNetwork::MaxPolysemy() const {
-  size_t max_senses = 0;
-  for (const std::vector<ConceptId>& senses : senses_by_token_) {
-    max_senses = std::max(max_senses, senses.size());
-  }
-  return static_cast<int>(max_senses);
 }
 
 Status SemanticNetwork::SetSenseOrder(std::string_view lemma,

@@ -150,8 +150,10 @@ class SemanticNetwork {
   bool Contains(std::string_view lemma) const;
 
   /// Max(senses(SN)): the maximum polysemy of any lemma (Proposition 1's
-  /// normalizer; 33 for "head" in WordNet 2.1).
-  int MaxPolysemy() const;
+  /// normalizer; 33 for "head" in WordNet 2.1). A stored value, kept
+  /// current by AddConcept() (sense lists only ever grow) and set by the
+  /// snapshot loader, so Eq. 1 costs no scan of the sense index.
+  int MaxPolysemy() const { return max_polysemy_; }
 
   /// Replaces the ordering of `lemma`'s senses of part-of-speech `pos`
   /// with `ordered`; senses of other parts of speech are regrouped in
@@ -305,6 +307,8 @@ class SemanticNetwork {
   TokenInterner interner_;
   std::vector<std::vector<ConceptId>> senses_by_token_;
   size_t lemma_count_ = 0;
+  /// Largest senses_by_token_ entry (MaxPolysemy()).
+  int max_polysemy_ = 0;
   std::vector<double> cumulative_frequency_;
   mutable std::vector<int32_t> depth_cache_;
   double total_frequency_ = 0.0;

@@ -98,11 +98,21 @@ Status LabeledTree::Validate() const {
 
 int LabeledTree::DistinctChildLabelCount(NodeId id) const {
   const TreeNode& n = node(id);
-  std::unordered_set<std::string> labels;
-  for (NodeId child : n.children) {
-    labels.insert(node(child).label);
+  if (n.children.size() < 2) return static_cast<int>(n.children.size());
+  if (!has_label_ids()) {
+    std::unordered_set<std::string> labels;
+    for (NodeId child : n.children) {
+      labels.insert(node(child).label);
+    }
+    return static_cast<int>(labels.size());
   }
-  return static_cast<int>(labels.size());
+  // Interned ids name spellings injectively, so distinct ids are
+  // distinct labels: count them without copying a single string.
+  thread_local std::vector<uint32_t> ids;
+  ids.clear();
+  for (NodeId child : n.children) ids.push_back(label_id(child));
+  std::sort(ids.begin(), ids.end());
+  return static_cast<int>(std::unique(ids.begin(), ids.end()) - ids.begin());
 }
 
 int LabeledTree::MaxDepth() const {

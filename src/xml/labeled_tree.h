@@ -106,7 +106,9 @@ class LabeledTree {
   const std::vector<TreeNode>& nodes() const { return nodes_; }
 
   /// Number of children of `id` carrying distinct labels — the paper's
-  /// density factor x.f-bar (Proposition 3).
+  /// density factor x.f-bar (Proposition 3). Counts distinct label ids
+  /// when the tree carries them (the same count: ids are injective over
+  /// spellings), label strings otherwise.
   int DistinctChildLabelCount(NodeId id) const;
 
   /// Max(depth(T)): the maximum node depth in the tree. Memoized after

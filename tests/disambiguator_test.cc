@@ -1,14 +1,19 @@
 // End-to-end tests of the XSDF pipeline (paper Figure 3): the Figure 1
 // running example, options behavior, compound assignment, semantic
-// tree serialization.
+// tree serialization (differentially against the DOM oracle).
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
+#include "semantic_xml_oracle.h"
 #include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 
@@ -359,6 +364,140 @@ TEST(SemanticTreeXmlTest, Figure1SecondDocumentCompounds) {
   EXPECT_NE(FindByLabel(*result, "first_name"), nullptr);
   EXPECT_NE(FindByLabel(*result, "last_name"), nullptr);
   EXPECT_EQ(AssignedLabel(*result, "kelly"), "grace_kelly");
+}
+
+// ============ Direct writer vs. the DOM oracle ====================
+//
+// SemanticTreeToXml writes straight into one buffer; the oracle builds
+// the xml::Document and serializes it. They must agree byte for byte.
+
+void ExpectWriterMatchesOracle(const SemanticTree& semantic_tree,
+                               const std::string& what) {
+  EXPECT_EQ(SemanticTreeToXml(semantic_tree, Network()),
+            testing::OracleSemanticTreeToXml(semantic_tree, Network()))
+      << what;
+}
+
+TEST(SemanticTreeXmlTest, WriterMatchesOracleOnCorpusAndGiantDocuments) {
+  std::vector<std::string> docs;
+  for (const auto& doc : datasets::Figure1Documents()) docs.push_back(doc.xml);
+  const auto& generators = datasets::AllDatasets();
+  for (size_t g = 0; g < 2 && g < generators.size(); ++g) {
+    for (const auto& doc : generators[g]->Generate(/*seed=*/11)) {
+      docs.push_back(doc.xml);
+    }
+  }
+  for (const auto& doc : datasets::GiantDocuments(
+           /*count=*/2, /*target_bytes=*/64u << 10, /*seed=*/7)) {
+    docs.push_back(doc.xml);
+  }
+  Disambiguator system(&Network());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    auto result = system.RunOnXml(docs[i]);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectWriterMatchesOracle(*result, "document " + std::to_string(i));
+  }
+}
+
+TEST(SemanticTreeXmlTest, WriterMatchesOracleOnEmptyAndSingleNodeTrees) {
+  ExpectWriterMatchesOracle(SemanticTree{}, "empty tree");
+  EXPECT_EQ(SemanticTreeToXml(SemanticTree{}, Network()),
+            "<?xml version=\"1.0\"?>\n<semantic_tree/>");
+  SemanticTree single;
+  single.tree.AddNode(xml::kInvalidNode, "star", xml::TreeNodeKind::kElement);
+  ExpectWriterMatchesOracle(single, "single unassigned node");
+  SenseAssignment assignment;
+  assignment.node = 0;
+  assignment.sense.primary = Network().Senses("star").front();
+  assignment.score = 1.0;
+  single.assignments.emplace(0, assignment);
+  ExpectWriterMatchesOracle(single, "single assigned node");
+}
+
+/// A hand-built three-level tree over `labels` (element root, attribute
+/// child, token leaves under both), without assignments: every node
+/// kind and both closing forms ("/>" and "</node>") reach the writer.
+SemanticTree HandBuiltTree(const std::vector<std::string>& labels) {
+  SemanticTree semantic_tree;
+  xml::LabeledTree& tree = semantic_tree.tree;
+  xml::NodeId root = tree.AddNode(xml::kInvalidNode, labels[0],
+                                  xml::TreeNodeKind::kElement);
+  xml::NodeId inner = tree.AddNode(root, labels[1],
+                                   xml::TreeNodeKind::kAttribute);
+  for (size_t i = 2; i < labels.size(); ++i) {
+    tree.AddNode(i % 2 == 0 ? inner : root, labels[i],
+                 xml::TreeNodeKind::kToken);
+  }
+  return semantic_tree;
+}
+
+TEST(SemanticTreeXmlTest, WriterMatchesOracleOnSpecialCharacterLabels) {
+  SemanticTree semantic_tree = HandBuiltTree(
+      {"a&b", "<tag>", "say \"hi\"", "x>y<z", "&amp;", "\"", "plain"});
+  ExpectWriterMatchesOracle(semantic_tree, "unassigned special labels");
+  for (xml::NodeId id = 0;
+       id < static_cast<xml::NodeId>(semantic_tree.tree.size()); ++id) {
+    SenseAssignment assignment;
+    assignment.node = id;
+    assignment.sense.primary = static_cast<wordnet::ConceptId>(id);
+    assignment.score = 0.5;
+    semantic_tree.assignments.emplace(id, assignment);
+  }
+  std::string out = SemanticTreeToXml(semantic_tree, Network());
+  EXPECT_NE(out.find("label=\"a&amp;b\""), std::string::npos) << out;
+  EXPECT_NE(out.find("label=\"say &quot;hi&quot;\""), std::string::npos);
+  ExpectWriterMatchesOracle(semantic_tree, "assigned special labels");
+}
+
+TEST(SemanticTreeXmlTest, WriterMatchesOracleOnCompoundSenses) {
+  SemanticTree semantic_tree =
+      HandBuiltTree({"movie_star", "first_name", "star", "genre"});
+  const wordnet::ConceptId movie = Network().Senses("movie").front();
+  const wordnet::ConceptId star = Network().Senses("star").front();
+  SenseAssignment compound;
+  compound.node = 0;
+  compound.sense.primary = movie;
+  compound.sense.secondary = star;
+  compound.score = 0.75;
+  semantic_tree.assignments.emplace(0, compound);
+  compound.node = 2;
+  compound.sense.primary = star;
+  compound.sense.secondary = static_cast<wordnet::ConceptId>(
+      Network().size() - 1);
+  semantic_tree.assignments.emplace(2, compound);
+  std::string out = SemanticTreeToXml(semantic_tree, Network());
+  EXPECT_NE(out.find("concept2_id=\""), std::string::npos) << out;
+  ExpectWriterMatchesOracle(semantic_tree, "compound senses");
+}
+
+TEST(SemanticTreeXmlTest, WriterMatchesOracleOnScoreEdgeCases) {
+  // Negative, zero (both signs), values rounding to -0.0000, exact
+  // 4-digit rounding ties (k/32 are exact binary fractions), large
+  // magnitudes, and the non-finite values.
+  const std::vector<double> scores = {
+      -0.5, 0.0, -0.0, -1e-9, 0.03125, -0.03125, 0.15625, 0.40625,
+      1.00005, 2.5, 12345.67895, 1e20, -1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  std::vector<std::string> labels;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    labels.push_back("node" + std::to_string(i));
+  }
+  SemanticTree semantic_tree = HandBuiltTree(labels);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    SenseAssignment assignment;
+    assignment.node = static_cast<xml::NodeId>(i);
+    assignment.sense.primary = Network().Senses("star").front();
+    assignment.score = scores[i];
+    semantic_tree.assignments.emplace(assignment.node, assignment);
+  }
+  std::string out = SemanticTreeToXml(semantic_tree, Network());
+  EXPECT_NE(out.find("score=\"0.0312\""), std::string::npos) << out;
+  EXPECT_NE(out.find("score=\"-0.0000\""), std::string::npos) << out;
+  ExpectWriterMatchesOracle(semantic_tree, "score edge cases");
 }
 
 }  // namespace
