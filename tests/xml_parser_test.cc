@@ -221,9 +221,17 @@ TEST(XmlValidNameTest, AcceptsAndRejects) {
 }
 
 TEST(XmlSerializerTest, EscapesText) {
-  EXPECT_EQ(EscapeText("a<b>&c"), "a&lt;b&gt;&amp;c");
-  EXPECT_EQ(EscapeAttribute("say \"hi\" & <go>"),
-            "say &quot;hi&quot; &amp; &lt;go&gt;");
+  std::string out = "x=";
+  AppendEscapedAttribute(&out, "say \"hi\" & <go>");
+  EXPECT_EQ(out, "x=say &quot;hi&quot; &amp; &lt;go&gt;");
+  AppendEscapedAttribute(&out, "");
+  AppendEscapedAttribute(&out, "&");
+  EXPECT_EQ(out, "x=say &quot;hi&quot; &amp; &lt;go&gt;&amp;");
+  // Character data escapes '<', '>' and '&' but keeps '"'.
+  auto doc = Parse("<a>a&lt;b&gt;&amp;c \"q\"</a>");
+  ASSERT_TRUE(doc.ok());
+  ASSERT_EQ(doc->root()->children()[0]->text(), "a<b>&c \"q\"");
+  EXPECT_EQ(Serialize(*doc->root()), "<a>a&lt;b&gt;&amp;c \"q\"</a>");
 }
 
 TEST(XmlSerializerTest, RoundTripPreservesStructure) {
