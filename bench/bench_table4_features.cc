@@ -7,7 +7,7 @@
 
 #include "core/baselines.h"
 #include "core/disambiguator.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "sim/measure.h"
 #include "text/preprocess.h"
 #include "wordnet/mini_wordnet.h"
@@ -27,7 +27,7 @@ int main() {
   bool measures_extensible =
       xsdf::sim::MeasureRegistry::Global().Names().size() >= 3;
 
-  auto tree = xsdf::core::BuildTreeFromXml(
+  auto tree = xsdf::core::BuildTreeStreaming(
       "<films><picture><cast><star>Kelly</star></cast></picture></films>",
       *network);
   xsdf::core::Disambiguator xsdf_system(&*network);

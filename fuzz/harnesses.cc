@@ -7,10 +7,15 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "core/label_space.h"
+#include "core/streaming_builder.h"
+#include "labeled_tree_oracle.h"
 #include "prop/generators.h"
 #include "snapshot/snapshot.h"
+#include "wordnet/mini_wordnet.h"
 #include "wordnet/wndb.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
@@ -43,9 +48,58 @@ std::string_view AsText(const uint8_t* data, size_t size) {
   return {reinterpret_cast<const char*>(data), size};
 }
 
+const wordnet::SemanticNetwork& MiniWordNet() {
+  static const wordnet::SemanticNetwork* network = [] {
+    auto result = wordnet::BuildMiniWordNet();
+    return new wordnet::SemanticNetwork(std::move(result).value());
+  }();
+  return *network;
+}
+
+/// The production front end (core::BuildTreeStreaming) over `text`,
+/// checked against xml::Parse: both accept or both reject, and an
+/// accepted document's tree passes Validate() and equals the DOM
+/// oracle's node for node and id for id (independent label spaces, so
+/// equal ids prove equal interning order). Returns the tree, or
+/// nothing when the input is rejected.
+std::optional<xml::LabeledTree> CheckedStreamingTree(
+    const char* target, std::string_view text,
+    const xml::ParseOptions& options, bool include_values) {
+  const wordnet::SemanticNetwork& network = MiniWordNet();
+  core::LabelSpace streaming_space(&network);
+  auto tree = core::BuildTreeStreaming(text, network, options,
+                                       include_values, &streaming_space);
+  auto doc = xml::Parse(text, options);
+  if (doc.ok() != tree.ok()) {
+    OracleFailure(target, "xml::Parse and the streaming build disagree",
+                  "parse: " + doc.status().ToString() +
+                      "\nstreaming: " + tree.status().ToString());
+  }
+  if (!tree.ok()) return std::nullopt;
+  Status audit = tree->Validate();
+  if (!audit.ok()) {
+    OracleFailure(target, "labeled tree failed its structural audit",
+                  audit.ToString());
+  }
+  core::LabelSpace oracle_space(&network);
+  auto expected = testing::OracleLabeledTree(*doc, network, include_values,
+                                             &oracle_space);
+  if (!expected.ok()) {
+    OracleFailure(target, "DOM oracle rejected an accepted document",
+                  expected.status().ToString());
+  }
+  std::string diff = testing::DiffLabeledTrees(*expected, *tree);
+  if (!diff.empty()) {
+    OracleFailure(target, "streaming tree differs from the DOM oracle", diff);
+  }
+  return std::move(tree).value();
+}
+
 }  // namespace
 
 void DriveXmlParser(const uint8_t* data, size_t size) {
+  CheckedStreamingTree("xml", AsText(data, size), FuzzXmlOptions(),
+                       /*include_values=*/true);
   auto doc = xml::Parse(AsText(data, size), FuzzXmlOptions());
   if (!doc.ok()) {
     if (doc.status().ToString().empty()) {
@@ -68,18 +122,6 @@ void DriveXmlParser(const uint8_t* data, size_t size) {
   }
   if (xml::Serialize(*reparsed, ser) != s1) {
     OracleFailure("xml", "serialization is not a fixed point", s1);
-  }
-  if (doc->root() != nullptr) {
-    auto tree = xml::BuildLabeledTree(*doc);
-    if (!tree.ok()) {
-      OracleFailure("xml", "parsed document failed tree construction",
-                    tree.status().ToString());
-    }
-    Status audit = tree->Validate();
-    if (!audit.ok()) {
-      OracleFailure("xml", "labeled tree failed its structural audit",
-                    audit.ToString());
-    }
   }
 }
 
@@ -128,19 +170,10 @@ void DriveLabeledTree(const uint8_t* data, size_t size) {
   xml::ParseOptions po = FuzzXmlOptions();
   po.discard_whitespace_text = (flags & 1) != 0;
   po.keep_comments = (flags & 2) != 0;
-  auto doc = xml::Parse(AsText(data + 1, size - 1), po);
-  if (!doc.ok() || doc->root() == nullptr) return;
-  xml::TreeBuildOptions to;
-  to.include_values = (flags & 4) != 0;
-  auto tree = xml::BuildLabeledTree(*doc, to);
-  if (!tree.ok()) {
-    OracleFailure("tree", "parsed document failed tree construction",
-                  tree.status().ToString());
-  }
-  Status audit = tree->Validate();
-  if (!audit.ok()) {
-    OracleFailure("tree", "structural audit failed", audit.ToString());
-  }
+  std::optional<xml::LabeledTree> tree =
+      CheckedStreamingTree("tree", AsText(data + 1, size - 1), po,
+                           /*include_values=*/(flags & 4) != 0);
+  if (!tree) return;
   // Exercise the full query surface; inputs are derived from the flag
   // byte so replay is deterministic. Every call must terminate and stay
   // in bounds (ASan/UBSan watch the rest).

@@ -16,7 +16,9 @@ namespace xsdf::fuzz {
 
 /// xml::Parse under fuzz limits; accepted documents must round-trip
 /// (serialize -> reparse -> structurally equal, serialization a fixed
-/// point) and build a LabeledTree that passes Validate().
+/// point). core::BuildTreeStreaming must accept exactly what xml::Parse
+/// accepts, and build a tree that passes Validate() and equals the DOM
+/// oracle of tests/labeled_tree_oracle.h node for node and id for id.
 void DriveXmlParser(const uint8_t* data, size_t size);
 
 /// wordnet::ParseWndb over a "%%file" container (see
@@ -25,8 +27,9 @@ void DriveXmlParser(const uint8_t* data, size_t size);
 void DriveWndbParser(const uint8_t* data, size_t size);
 
 /// LabeledTree construction and query surface: first byte selects
-/// options, the rest is XML; a built tree must pass Validate() and
-/// every query (LCA, distance, rings, paths) must terminate.
+/// parse options and include_values, the rest is XML; the streaming
+/// build is checked as in DriveXmlParser, and every query on the tree
+/// (LCA, distance, rings, paths) must terminate.
 void DriveLabeledTree(const uint8_t* data, size_t size);
 
 /// snapshot::LoadNetworkSnapshotFromBuffer over an 8-aligned copy of

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "core/streaming_builder.h"
-#include "core/tree_builder.h"
 #include "xml/serializer.h"
 
 namespace xsdf::core {
@@ -75,9 +74,9 @@ std::vector<double> Disambiguator::ScoreCandidates(
 
 std::vector<double> Disambiguator::ScoreCandidatesImpl(
     const xml::LabeledTree& tree, xml::NodeId id,
-    const std::vector<SenseCandidate>& candidates, StageAccum* accum,
+    const std::vector<SenseCandidate>& candidates, StageTimes* times,
     NodeAudit* audit) const {
-  const uint64_t t_start = accum != nullptr ? obs::MonotonicNowNs() : 0;
+  const uint64_t t_start = times != nullptr ? obs::MonotonicNowNs() : 0;
   CombinationWeights combo = EffectiveCombination();
   // Build the sphere context and resolve its labels against the sense
   // index once; every candidate scores against the same resolved
@@ -90,9 +89,9 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
   IdContextVector vector(sphere, options_.bag_of_words_context);
   IdResolvedContext resolved(*label_space_, sphere, vector);
   uint64_t t_context = 0;
-  if (accum != nullptr) {
+  if (times != nullptr) {
     t_context = obs::MonotonicNowNs();
-    accum->context_ns += t_context - t_start;
+    times->context_ns += t_context - t_start;
   }
   std::vector<double> scores;
   scores.reserve(candidates.size());
@@ -157,8 +156,8 @@ std::vector<double> Disambiguator::ScoreCandidatesImpl(
       audit->candidates[i].total = scores[i];
     }
   }
-  if (accum != nullptr) {
-    accum->score_ns += obs::MonotonicNowNs() - t_context;
+  if (times != nullptr) {
+    times->score_ns += obs::MonotonicNowNs() - t_context;
   }
   return scores;
 }
@@ -169,7 +168,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNode(
 }
 
 Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
-    const xml::LabeledTree& tree, xml::NodeId id, StageAccum* accum,
+    const xml::LabeledTree& tree, xml::NodeId id, StageTimes* times,
     NodeAudit* audit) const {
   if (!tree.has_label_ids()) {
     return Status::InvalidArgument(
@@ -215,7 +214,7 @@ Result<SenseAssignment> Disambiguator::DisambiguateNodeImpl(
     return assignment;
   }
   std::vector<double> scores =
-      ScoreCandidatesImpl(tree, id, candidates, accum, audit);
+      ScoreCandidatesImpl(tree, id, candidates, times, audit);
   size_t best = 0;
   for (size_t i = 1; i < scores.size(); ++i) {
     if (scores[i] > scores[best]) best = i;
@@ -271,6 +270,31 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
   return targets;
 }
 
+void Disambiguator::DisambiguateTargets(
+    const xml::LabeledTree& tree, std::span<const xml::NodeId> targets,
+    std::vector<std::pair<xml::NodeId, SenseAssignment>>* out,
+    StageTimes* times) const {
+  // The clock is read only when a stage histogram will take the sum.
+  if (ins_.context_us == nullptr && ins_.score_us == nullptr) {
+    times = nullptr;
+  }
+  out->reserve(out->size() + targets.size());
+  for (xml::NodeId id : targets) {
+    auto assignment = DisambiguateNodeImpl(tree, id, times, nullptr);
+    if (!assignment.ok()) continue;  // senseless labels stay untouched
+    out->emplace_back(id, std::move(assignment).value());
+  }
+}
+
+void Disambiguator::RecordStageTimes(const StageTimes& times) const {
+  if (ins_.context_us != nullptr) {
+    ins_.context_us->Record((times.context_ns + 500) / 1000);
+  }
+  if (ins_.score_us != nullptr) {
+    ins_.score_us->Record((times.score_ns + 500) / 1000);
+  }
+}
+
 Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
   // Trees handed in without interned labels get one id-assignment pass
   // up front; every per-node stage below reads the ids.
@@ -280,36 +304,17 @@ Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
       tree.set_label_id(id, label_space_->Resolve(tree.node(id).label));
     }
   }
-  SemanticTree result;
-  StageAccum accum;
-  StageAccum* acc =
-      (ins_.context_us != nullptr || ins_.score_us != nullptr) ? &accum
-                                                               : nullptr;
   std::vector<xml::NodeId> targets = SelectTargets(tree);
-  for (xml::NodeId id : targets) {
-    auto assignment = DisambiguateNodeImpl(tree, id, acc, nullptr);
-    if (!assignment.ok()) continue;  // senseless labels stay untouched
-    result.assignments.emplace(id, std::move(assignment).value());
-  }
-  if (acc != nullptr) {
-    // One sample per document: where this document's disambiguation
-    // time went, split between context construction and scoring.
-    if (ins_.context_us != nullptr) {
-      ins_.context_us->Record((accum.context_ns + 500) / 1000);
-    }
-    if (ins_.score_us != nullptr) {
-      ins_.score_us->Record((accum.score_ns + 500) / 1000);
-    }
+  std::vector<std::pair<xml::NodeId, SenseAssignment>> assigned;
+  StageTimes times;
+  DisambiguateTargets(tree, targets, &assigned, &times);
+  RecordStageTimes(times);
+  SemanticTree result;
+  for (auto& [id, assignment] : assigned) {
+    result.assignments.emplace(id, std::move(assignment));
   }
   result.tree = std::move(tree);
   return result;
-}
-
-Result<SemanticTree> Disambiguator::Run(const xml::Document& doc) const {
-  auto tree =
-      BuildTree(doc, *network_, options_.include_values, label_space_);
-  if (!tree.ok()) return tree.status();
-  return RunOnTree(std::move(tree).value());
 }
 
 Result<SemanticTree> Disambiguator::RunOnXml(

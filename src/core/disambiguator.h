@@ -2,8 +2,10 @@
 #define XSDF_CORE_DISAMBIGUATOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -15,7 +17,6 @@
 #include "obs/trace.h"
 #include "sim/combined.h"
 #include "wordnet/semantic_network.h"
-#include "xml/dom.h"
 #include "xml/labeled_tree.h"
 
 namespace xsdf::core {
@@ -196,11 +197,8 @@ class Disambiguator {
   /// the private space created when none was). Internally
   /// synchronized. Trees handed to the per-node entry points below
   /// must carry ids from this space: build them with it
-  /// (BuildTreeStreaming / BuildTree).
+  /// (BuildTreeStreaming).
   LabelSpace* label_space() const { return label_space_; }
-
-  /// Runs the full pipeline on a parsed document.
-  Result<SemanticTree> Run(const xml::Document& doc) const;
 
   /// Runs the pipeline on an XML string (one-pass streaming build).
   Result<SemanticTree> RunOnXml(const std::string& xml_text) const;
@@ -211,12 +209,36 @@ class Disambiguator {
 
   /// The target nodes RunOnTree would disambiguate, in selection
   /// order, timed into stage.select_us. Exposed so the runtime engine
-  /// can split the per-target DisambiguateNode() loop into stealable
+  /// can split the per-target loop (DisambiguateTargets) into stealable
   /// chunks across workers — DisambiguateNode is a pure function of
   /// (tree, id) for identically-configured disambiguators, so chunk
   /// placement never changes results. Empty when the tree carries no
   /// label ids (RunOnTree assigns them first).
   std::vector<xml::NodeId> SelectTargets(const xml::LabeledTree& tree) const;
+
+  /// Where one document's disambiguation time went: context covers
+  /// sphere + context-vector + sense resolution, score covers the
+  /// candidate scoring loop (incl. the frequency prior).
+  struct StageTimes {
+    uint64_t context_ns = 0;
+    uint64_t score_ns = 0;
+  };
+
+  /// The per-target loop of RunOnTree: disambiguates `targets` in order
+  /// and appends (target, assignment) to `out` for every target whose
+  /// label has senses (senseless labels stay untouched). The engine
+  /// runs it once per chunk of a document's target list. With a
+  /// metrics registry attached, the loop's context and score time is
+  /// added to `times`; callers record the document's sum once with
+  /// RecordStageTimes().
+  void DisambiguateTargets(
+      const xml::LabeledTree& tree, std::span<const xml::NodeId> targets,
+      std::vector<std::pair<xml::NodeId, SenseAssignment>>* out,
+      StageTimes* times) const;
+
+  /// Records one document's StageTimes as one sample each of
+  /// stage.context_us and stage.score_us; no-op without a registry.
+  void RecordStageTimes(const StageTimes& times) const;
 
   /// Disambiguates a single node of `tree`; returns the winning
   /// assignment, NotFound when the label has no candidate senses, or
@@ -240,13 +262,6 @@ class Disambiguator {
                                 xml::NodeId id) const;
 
  private:
-  /// Per-document accumulators for the stage histograms: context
-  /// covers sphere + context-vector + sense resolution, score covers
-  /// the candidate scoring loop (incl. the frequency prior).
-  struct StageAccum {
-    uint64_t context_ns = 0;
-    uint64_t score_ns = 0;
-  };
   /// Handles resolved once against options_.metrics (all null without
   /// a registry, making every record site a dead branch).
   struct Instruments {
@@ -269,7 +284,7 @@ class Disambiguator {
   /// capture (both null on the plain path).
   Result<SenseAssignment> DisambiguateNodeImpl(const xml::LabeledTree& tree,
                                                xml::NodeId id,
-                                               StageAccum* accum,
+                                               StageTimes* times,
                                                NodeAudit* audit) const;
 
   /// Scores an already-enumerated candidate list, resolving the node's
@@ -278,7 +293,7 @@ class Disambiguator {
   std::vector<double> ScoreCandidatesImpl(
       const xml::LabeledTree& tree, xml::NodeId id,
       const std::vector<SenseCandidate>& candidates,
-      StageAccum* accum = nullptr, NodeAudit* audit = nullptr) const;
+      StageTimes* times = nullptr, NodeAudit* audit = nullptr) const;
 
   const wordnet::SemanticNetwork* network_;
   DisambiguatorOptions options_;

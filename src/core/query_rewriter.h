@@ -34,19 +34,14 @@ class QueryRewriter {
     std::vector<std::string> queries;
   };
 
-  /// Grounds `query` against the corpus documents (each is
-  /// disambiguated with the configured options) and produces the
-  /// rewritings. Steps ground to the majority concept over all corpus
-  /// nodes carrying the step's label.
-  Result<Rewriting> Rewrite(
-      const std::string& query,
-      const std::vector<const xml::Document*>& corpus,
-      size_t max_rewritings = 32) const;
-
-  /// Convenience overload over XML strings.
-  Result<Rewriting> RewriteOverXml(
-      const std::string& query, const std::vector<std::string>& corpus,
-      size_t max_rewritings = 32) const;
+  /// Grounds `query` against the corpus documents (XML texts, each
+  /// disambiguated with the configured options through RunOnXml) and
+  /// produces the rewritings. Steps ground to the majority concept over
+  /// all corpus nodes carrying the step's label. A document that fails
+  /// to parse fails the whole call with its Status.
+  Result<Rewriting> Rewrite(const std::string& query,
+                            const std::vector<std::string>& corpus,
+                            size_t max_rewritings = 32) const;
 
  private:
   const wordnet::SemanticNetwork* network_;

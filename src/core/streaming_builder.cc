@@ -6,22 +6,80 @@
 #include <vector>
 
 #include "core/label_space.h"
+#include "text/preprocess.h"
+#include "text/stopwords.h"
+#include "text/tokenizer.h"
 
 namespace xsdf::core {
 
 namespace {
 
 using xml::NodeId;
-using xml::ResolvedLabel;
 using xml::TreeNodeKind;
 
-/// StreamHandler that replays xml::Builder's node-emission order
-/// (labeled_tree.cc) against the event stream: the element node on
-/// open, buffered attributes sorted by name (each followed by its
-/// value tokens) once the start tag closes, text/CDATA tokens at the
-/// parser's flush boundaries, pop on close. Every label goes through
-/// the shared TreeBuildCache memos, so interning order — and with it
-/// every label id — matches the DOM build node for node.
+/// Memoized raw-tag -> (preprocessed label, interned id) mapping. The
+/// returned reference is a cache entry, valid until the cache dies.
+const ResolvedLabel& ResolveTagMemo(TreeBuildCache& cache,
+                                    const wordnet::SemanticNetwork& network,
+                                    LabelSpace* label_space,
+                                    const std::string& tag) {
+  auto [it, inserted] = cache.tags.try_emplace(tag);
+  if (inserted) {
+    text::LexiconProbe probe = [&network](const std::string& lemma) {
+      return network.Contains(lemma);
+    };
+    it->second.label = text::PreprocessTagName(tag, probe).label;
+    if (label_space != nullptr) {
+      it->second.id = label_space->Resolve(it->second.label);
+    }
+  }
+  return it->second;
+}
+
+/// Memoized raw-value -> preprocessed, interned token list, under the
+/// same lifetime contract as ResolveTagMemo. Tokens that normalize to
+/// nothing keep an empty label and are never interned; the builder
+/// skips them.
+const std::vector<ResolvedLabel>& TokenizeValueMemo(
+    TreeBuildCache& cache, const wordnet::SemanticNetwork& network,
+    LabelSpace* label_space, const std::string& value) {
+  // Two-level value memo: whole values repeat less than their tokens,
+  // so a miss on the value still reuses each token's (pure)
+  // normalization + interning. The composition below is
+  // PreprocessTextValue() step for step, and interning on first sight
+  // of a label follows build order exactly as per-node resolution
+  // would, so memoized output is identical to the direct call.
+  auto [it, inserted] = cache.values.try_emplace(value);
+  if (inserted) {
+    text::LexiconProbe probe = [&network](const std::string& lemma) {
+      return network.Contains(lemma);
+    };
+    std::vector<std::string> tokens =
+        text::RemoveStopWords(text::Tokenize(value));
+    it->second.reserve(tokens.size());
+    for (const std::string& token : tokens) {
+      if (!text::HasLetter(token)) continue;  // drop pure numbers
+      auto [tit, tinserted] = cache.tokens.try_emplace(token);
+      if (tinserted) {
+        tit->second.label = text::NormalizeToken(token, probe);
+        // Tokens that normalize to nothing never become nodes, so
+        // they are never interned (matches the per-node path).
+        if (label_space != nullptr && !tit->second.label.empty()) {
+          tit->second.id = label_space->Resolve(tit->second.label);
+        }
+      }
+      it->second.push_back(tit->second);
+    }
+  }
+  return it->second;
+}
+
+/// StreamHandler that builds the labeled tree from the event stream:
+/// the element node on open, buffered attributes sorted by name (each
+/// followed by its value tokens) once the start tag closes, text/CDATA
+/// tokens at the parser's flush boundaries, pop on close. Every label
+/// goes through the TreeBuildCache memos, which resolve labels in
+/// node order, so label ids equal per-node interning in preorder.
 class StreamingTreeBuilder : public xml::StreamHandler {
  public:
   StreamingTreeBuilder(const wordnet::SemanticNetwork& network,
@@ -55,9 +113,8 @@ class StreamingTreeBuilder : public xml::StreamHandler {
   }
 
   Status OnStartTagDone() override {
-    // Attributes first, sorted by name (paper §3.1) — the same
-    // ordering Builder::AddElement applies to the DOM attribute list.
-    // The parser rejects duplicate names, so sort order is total.
+    // Attributes first, sorted by name (paper §3.1). The parser
+    // rejects duplicate names, so sort order is total.
     std::sort(attrs_.begin(), attrs_.end(),
               [](const PendingAttr& a, const PendingAttr& b) {
                 return a.name < b.name;

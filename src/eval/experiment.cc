@@ -5,6 +5,7 @@
 
 #include "core/ambiguity.h"
 #include "core/baselines.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "eval/raters.h"
 #include "xml/tree_stats.h"
@@ -21,7 +22,7 @@ Result<std::vector<CorpusDocument>> BuildCorpus(
     for (datasets::GeneratedDocument& doc : docs) {
       CorpusDocument entry;
       entry.dataset = generator->info();
-      auto tree = core::BuildTreeFromXml(doc.xml, network);
+      auto tree = core::BuildTreeStreaming(doc.xml, network);
       if (!tree.ok()) return tree.status();
       entry.tree = std::move(tree).value();
       auto gold = ResolveGold(doc.gold);

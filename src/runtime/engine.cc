@@ -35,9 +35,9 @@ struct DisambiguationEngine::Batch {
   }
 };
 
-/// Shared state for one document's chunked target fan-out. The owning
-/// worker keeps it on its stack frame (via shared_ptr, so late-arriving
-/// helper tickets stay safe after the owner moves on) and blocks until
+/// Shared state for one document's target chunks. The owning worker
+/// keeps it on its stack frame (via shared_ptr, so late-arriving helper
+/// tickets stay safe after the owner moves on) and blocks until
 /// chunks_done reaches chunk_count. `tree` and `targets` point into the
 /// owner's frame: a worker only dereferences them while it holds a
 /// claimed chunk, every claim precedes its chunks_done increment, and
@@ -51,13 +51,17 @@ struct DisambiguationEngine::SubtreeWork {
   size_t chunk_size = 0;
   size_t chunk_count = 0;
   int owner_worker = -1;
+  /// Whether helper tickets were published (set before the first push).
+  bool published = false;
   std::atomic<size_t> next_chunk{0};
   std::atomic<size_t> chunks_done{0};
-  /// Per-chunk (target, assignment) pairs in target order; merged by
-  /// the owner chunk by chunk, so the result is independent of which
-  /// worker ran what when.
+  /// Per-chunk (target, assignment) pairs in target order and per-chunk
+  /// stage times; the owner merges the former chunk by chunk, so the
+  /// result is independent of which worker ran what when, and sums the
+  /// latter into the document's one stage sample.
   std::vector<std::vector<std::pair<xml::NodeId, core::SenseAssignment>>>
       chunk_results;
+  std::vector<core::Disambiguator::StageTimes> chunk_times;
   std::mutex mu;
   std::condition_variable done_cv;
 };
@@ -262,26 +266,9 @@ DocumentResult DisambiguationEngine::Process(
 Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
     const core::Disambiguator& disambiguator, xml::LabeledTree tree,
     int worker_index) {
-  // Chunked fan-out requires another worker to steal chunks.
-  if (!options_.subtree_parallelism || workers_.size() < 2) {
-    return disambiguator.RunOnTree(std::move(tree));
-  }
   std::vector<xml::NodeId> targets = disambiguator.SelectTargets(tree);
   const size_t chunk_size =
       std::max<size_t>(options_.subtree_chunk_targets, 1);
-  core::SemanticTree result;
-  if (targets.size() <
-      std::max(options_.subtree_min_targets, 2 * chunk_size)) {
-    // Too few targets to amortize ticket overhead: the same sequential
-    // per-target loop RunOnTree runs.
-    for (xml::NodeId id : targets) {
-      auto assignment = disambiguator.DisambiguateNode(tree, id);
-      if (!assignment.ok()) continue;  // senseless labels stay untouched
-      result.assignments.emplace(id, std::move(assignment).value());
-    }
-    result.tree = std::move(tree);
-    return result;
-  }
   auto work = std::make_shared<SubtreeWork>();
   work->tree = &tree;
   work->targets = &targets;
@@ -289,19 +276,28 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
   work->chunk_count = (targets.size() + chunk_size - 1) / chunk_size;
   work->owner_worker = worker_index;
   work->chunk_results.resize(work->chunk_count);
-  // At most chunk_count - 1 helpers can find work (the owner drains
-  // too). TryPush only: when the queue is full the owner simply runs
-  // more chunks itself — an owner never blocks on its own fan-out, so
-  // every document always makes progress even with zero helpers.
-  const size_t helpers =
-      std::min(workers_.size() - 1, work->chunk_count - 1);
-  for (size_t i = 0; i < helpers; ++i) {
-    WorkItem ticket;
-    ticket.subtree = work;
-    subtree_tickets_.fetch_add(1, std::memory_order_relaxed);
-    if (!queue_.TryPush(std::move(ticket))) {
-      subtree_tickets_.fetch_sub(1, std::memory_order_relaxed);
-      break;
+  work->chunk_times.resize(work->chunk_count);
+  // Helpers need another worker, and too few targets cannot amortize
+  // the ticket overhead.
+  work->published =
+      workers_.size() >= 2 &&
+      targets.size() >= std::max(options_.subtree_min_targets, 2 * chunk_size);
+  if (work->published) {
+    subtree_parallel_docs_.fetch_add(1, std::memory_order_relaxed);
+    // At most chunk_count - 1 helpers can find work (the owner drains
+    // too). TryPush only: when the queue is full the owner simply runs
+    // more chunks itself — an owner never blocks on its own fan-out, so
+    // every document always makes progress even with zero helpers.
+    const size_t helpers =
+        std::min(workers_.size() - 1, work->chunk_count - 1);
+    for (size_t i = 0; i < helpers; ++i) {
+      WorkItem ticket;
+      ticket.subtree = work;
+      subtree_tickets_.fetch_add(1, std::memory_order_relaxed);
+      if (!queue_.TryPush(std::move(ticket))) {
+        subtree_tickets_.fetch_sub(1, std::memory_order_relaxed);
+        break;
+      }
     }
   }
   RunSubtreeChunks(*work, disambiguator, worker_index);
@@ -312,16 +308,18 @@ Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
              work->chunk_count;
     });
   }
-  subtree_parallel_docs_.fetch_add(1, std::memory_order_relaxed);
-  // Merge in chunk (= target) order. The map is keyed by NodeId and
-  // serialization walks the tree by id, so insertion order can never
-  // leak into the output anyway — the fixed order just keeps the merge
-  // deterministic for debugging.
-  for (auto& chunk : work->chunk_results) {
-    for (auto& entry : chunk) {
+  // Merge in chunk (= target) order, and record the document's context
+  // and score time once, summed over its chunks.
+  core::SemanticTree result;
+  core::Disambiguator::StageTimes times;
+  for (size_t c = 0; c < work->chunk_count; ++c) {
+    for (auto& entry : work->chunk_results[c]) {
       result.assignments.emplace(entry.first, std::move(entry.second));
     }
+    times.context_ns += work->chunk_times[c].context_ns;
+    times.score_ns += work->chunk_times[c].score_ns;
   }
+  disambiguator.RecordStageTimes(times);
   result.tree = std::move(tree);
   return result;
 }
@@ -339,24 +337,24 @@ void DisambiguationEngine::RunSubtreeChunks(
     // Container span for the per-node spans below: on a stealing
     // worker's tid there is no enclosing "document" span, so the trace
     // validator accepts "subtree_chunk" as the alternative container.
-    obs::Span chunk_span(trace_, "subtree_chunk",
-                         StrFormat("chunk %zu/%zu", chunk, work.chunk_count));
-    const std::vector<xml::NodeId>& targets = *work.targets;
+    // Chunks of a document nobody can steal from need none.
+    obs::TraceSession* chunk_trace = work.published ? trace_ : nullptr;
+    obs::Span chunk_span(
+        chunk_trace, "subtree_chunk",
+        chunk_trace != nullptr
+            ? StrFormat("chunk %zu/%zu", chunk, work.chunk_count)
+            : std::string());
     const size_t begin = chunk * work.chunk_size;
-    const size_t end = std::min(begin + work.chunk_size, targets.size());
-    std::vector<std::pair<xml::NodeId, core::SenseAssignment>>& out =
-        work.chunk_results[chunk];
-    out.reserve(end - begin);
+    const size_t end = std::min(begin + work.chunk_size, work.targets->size());
     // DisambiguateNode is a pure function of (tree, id) for
     // identically-configured disambiguators, so running this chunk
     // under a helper's Disambiguator yields the exact bytes the owner
     // would have produced.
-    for (size_t i = begin; i < end; ++i) {
-      auto assignment =
-          disambiguator.DisambiguateNode(*work.tree, targets[i]);
-      if (!assignment.ok()) continue;  // senseless labels stay untouched
-      out.emplace_back(targets[i], std::move(assignment).value());
-    }
+    disambiguator.DisambiguateTargets(
+        *work.tree,
+        std::span<const xml::NodeId>(work.targets->data() + begin,
+                                     end - begin),
+        &work.chunk_results[chunk], &work.chunk_times[chunk]);
     const size_t done =
         work.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (done == work.chunk_count) {

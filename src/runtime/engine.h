@@ -90,14 +90,15 @@ struct EngineOptions {
   /// --max-input-bytes / --max-depth land here).
   xml::ParseLimits parse_limits;
 
-  /// Intra-document parallelism: when a multi-worker engine selects at
-  /// least `subtree_min_targets` target nodes in one document, the
-  /// owning worker splits the target list into `subtree_chunk_targets`
-  /// sized chunks and publishes helper tickets on the shared job queue
-  /// so idle workers steal chunks — 8 workers saturate on a single
-  /// giant file. Chunk placement never affects output: per-node
-  /// disambiguation is pure and the merge follows target order.
-  bool subtree_parallelism = true;
+  /// Intra-document parallelism: every document's target list is cut
+  /// into `subtree_chunk_targets` sized chunks that its owning worker
+  /// drains. When a multi-worker engine selects at least
+  /// max(`subtree_min_targets`, 2 chunks) targets in one document, the
+  /// owner also publishes helper tickets on the shared job queue so
+  /// idle workers steal chunks — 8 workers saturate on a single giant
+  /// file. SIZE_MAX turns stealing off. Chunk placement never affects
+  /// output: per-node disambiguation is pure and the merge follows
+  /// target order.
   size_t subtree_min_targets = 64;
   size_t subtree_chunk_targets = 32;
 
@@ -209,9 +210,10 @@ class DisambiguationEngine {
                          core::TreeBuildCache& tree_cache,
                          const DocumentJob& job, int worker_index);
 
-  /// Selection + per-target disambiguation for one document, chunked
-  /// across workers when the target list is big enough (else an inline
-  /// sequential loop / RunOnTree). Byte-identical to RunOnTree.
+  /// Selection + per-target disambiguation for one document: target
+  /// chunks the owner drains, stolen by helpers when the target list is
+  /// big enough, then the merge in target order. Byte-identical to
+  /// RunOnTree, and records the same stage samples.
   Result<core::SemanticTree> DisambiguateTree(
       const core::Disambiguator& disambiguator, xml::LabeledTree tree,
       int worker_index);

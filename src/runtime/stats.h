@@ -43,9 +43,9 @@ struct EngineStats {
   uint64_t assignments = 0;  ///< sense assignments across ok documents
   /// Actual worker-pool size (after `threads: 0` auto-detection).
   int worker_threads = 0;
-  /// Intra-document parallelism: documents whose target list was
-  /// chunked across workers, and chunks executed by a worker other
-  /// than the document's owner (see EngineOptions::subtree_parallelism).
+  /// Intra-document parallelism: documents whose owner published
+  /// helper tickets, and chunks executed by a worker other than the
+  /// document's owner (see EngineOptions::subtree_min_targets).
   uint64_t subtree_parallel_docs = 0;
   uint64_t subtree_steals = 0;
   /// High-water mark of per-document front-end scaffolding bytes (the

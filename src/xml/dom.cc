@@ -15,13 +15,13 @@ Node* Node::AddChild(Node* child) {
 }
 
 Node* Node::AddElement(std::string name) {
-  Node* child = arena_->New<Node>(NodeKind::kElement, arena_);
+  Node* child = &storage_->emplace_back(NodeKind::kElement, storage_);
   child->set_name(std::move(name));
   return AddChild(child);
 }
 
 Node* Node::AddText(std::string text) {
-  Node* child = arena_->New<Node>(NodeKind::kText, arena_);
+  Node* child = &storage_->emplace_back(NodeKind::kText, storage_);
   child->set_text(std::move(text));
   return AddChild(child);
 }
@@ -62,12 +62,6 @@ size_t Node::ElementChildCount() const {
 Node* Document::NewElement(std::string name) {
   Node* node = NewNode(NodeKind::kElement);
   node->set_name(std::move(name));
-  return node;
-}
-
-Node* Document::NewText(std::string text) {
-  Node* node = NewNode(NodeKind::kText);
-  node->set_text(std::move(text));
   return node;
 }
 

@@ -1,12 +1,11 @@
 #ifndef XSDF_XML_DOM_H_
 #define XSDF_XML_DOM_H_
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "common/arena.h"
 
 namespace xsdf::xml {
 
@@ -27,15 +26,15 @@ struct Attribute {
 
 /// One node of the parsed XML document (W3C DOM-inspired, trimmed to
 /// what XSDF consumes). All nodes of a document live in the document's
-/// arena: creating one is a pointer bump, and the whole tree is freed
-/// with the arena instead of node by node. Elements link to their
-/// children by plain pointer; all other kinds are leaves.
+/// node storage; elements link to their children by plain pointer, and
+/// all other kinds are leaves.
 class Node {
  public:
   /// Nodes are normally created through Document::NewNode()/
-  /// NewElement()/NewText() or the Add* helpers below; `arena` is the
-  /// owning document's arena and must outlive the node.
-  Node(NodeKind kind, Arena* arena) : kind_(kind), arena_(arena) {}
+  /// NewElement() or the Add* helpers below; `storage` is the owning
+  /// document's node storage and must outlive the node.
+  Node(NodeKind kind, std::deque<Node>* storage)
+      : kind_(kind), storage_(storage) {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -62,9 +61,9 @@ class Node {
   /// Returns the value of attribute `name`, or nullptr when absent.
   const std::string* FindAttribute(std::string_view name) const;
 
-  /// Children in document order (borrowed; owned by the arena).
+  /// Children in document order (borrowed; owned by the document).
   const std::vector<Node*>& children() const { return children_; }
-  /// Appends `child` (an arena node of the same document) and returns it.
+  /// Appends `child` (a node of the same document) and returns it.
   Node* AddChild(Node* child);
   /// Creates, appends, and returns a new child element named `name`.
   Node* AddElement(std::string name);
@@ -84,7 +83,7 @@ class Node {
 
  private:
   NodeKind kind_;
-  Arena* arena_;
+  std::deque<Node>* storage_;
   std::string name_;
   std::string text_;
   std::vector<Attribute> attributes_;
@@ -92,12 +91,12 @@ class Node {
 };
 
 /// A parsed XML document: optional declaration, prolog misc nodes, and
-/// exactly one root element. The document owns a bump arena holding
-/// every node; node pointers stay valid while the document (or a
-/// document it was moved into) is alive.
+/// exactly one root element. The document owns every node; node
+/// pointers stay valid while the document (or a document it was moved
+/// into) is alive.
 class Document {
  public:
-  Document() : arena_(std::make_unique<Arena>()) {}
+  Document() : nodes_(std::make_unique<std::deque<Node>>()) {}
   Document(const Document&) = delete;
   Document& operator=(const Document&) = delete;
   Document(Document&&) = default;
@@ -108,12 +107,12 @@ class Document {
   void set_version(std::string v) { version_ = std::move(v); }
   void set_encoding(std::string e) { encoding_ = std::move(e); }
 
-  /// Creates a node in this document's arena.
-  Node* NewNode(NodeKind kind) { return arena_->New<Node>(kind, arena_.get()); }
-  /// Creates an element node named `name` in this document's arena.
+  /// Creates a node owned by this document.
+  Node* NewNode(NodeKind kind) {
+    return &nodes_->emplace_back(kind, nodes_.get());
+  }
+  /// Creates an element node named `name` owned by this document.
   Node* NewElement(std::string name);
-  /// Creates a text node holding `text` in this document's arena.
-  Node* NewText(std::string text);
 
   const Node* root() const { return root_; }
   Node* mutable_root() { return root_; }
@@ -126,12 +125,12 @@ class Document {
   /// Total number of element nodes in the document.
   size_t CountElements() const;
 
-  /// The arena backing this document's nodes.
-  Arena& arena() { return *arena_; }
-  const Arena& arena() const { return *arena_; }
-
  private:
-  std::unique_ptr<Arena> arena_;
+  /// Every node of the document. Heap-held, so a move of the document
+  /// keeps node pointers valid; a deque never relocates its elements,
+  /// and destroys them one after another rather than recursively, so
+  /// any nesting depth is safe to free.
+  std::unique_ptr<std::deque<Node>> nodes_;
   std::string version_ = "1.0";
   std::string encoding_;
   Node* root_ = nullptr;

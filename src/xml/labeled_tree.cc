@@ -216,150 +216,4 @@ std::vector<NodeId> LabeledTree::Subtree(NodeId id) const {
   return out;
 }
 
-namespace {
-
-std::string DefaultLabelTransform(const std::string& tag) {
-  return AsciiToLower(tag);
-}
-
-std::vector<std::string> DefaultValueTokenizer(const std::string& value) {
-  std::vector<std::string> tokens =
-      StrSplitAny(value, " \t\r\n.,;:!?()[]{}'\"");
-  for (std::string& t : tokens) t = AsciiToLower(t);
-  return tokens;
-}
-
-struct Builder {
-  const TreeBuildOptions* options;
-  std::function<std::string(const std::string&)> label_transform;
-  std::function<std::vector<std::string>(const std::string&)> tokenizer;
-  LabeledTree tree;
-  ResolvedLabel scratch;  ///< unfused-hook staging for ResolveTag()
-
-  /// Raw tag -> (label, id) through the fused hook when available,
-  /// else through label_transform (no id).
-  const ResolvedLabel& ResolveTag(const std::string& raw_tag) {
-    if (options->resolved_label_transform) {
-      return options->resolved_label_transform(raw_tag);
-    }
-    scratch.label = label_transform(raw_tag);
-    return scratch;
-  }
-
-  NodeId AddTag(NodeId parent, const std::string& raw_tag,
-                TreeNodeKind kind) {
-    const ResolvedLabel& resolved = ResolveTag(raw_tag);
-    return tree.AddNode(parent, resolved.label, resolved.id, kind,
-                        raw_tag);
-  }
-
-  void AddTokens(NodeId parent, const std::string& text) {
-    if (!options->include_values) return;
-    if (options->resolved_value_tokenizer) {
-      for (const ResolvedLabel& token :
-           options->resolved_value_tokenizer(text)) {
-        if (token.label.empty()) continue;
-        tree.AddNode(parent, token.label, token.id, TreeNodeKind::kToken,
-                     token.label);
-      }
-      return;
-    }
-    for (std::string& token : tokenizer(text)) {
-      if (token.empty()) continue;
-      std::string raw = token;
-      tree.AddNode(parent, std::move(token), TreeNodeKind::kToken,
-                   std::move(raw));
-    }
-  }
-
-  void AddElement(NodeId parent, const Node& element) {
-    NodeId id = AddTag(parent, element.name(), TreeNodeKind::kElement);
-    // Attributes first, sorted by name (paper §3.1).
-    std::vector<const Attribute*> attrs;
-    attrs.reserve(element.attributes().size());
-    for (const Attribute& a : element.attributes()) attrs.push_back(&a);
-    std::sort(attrs.begin(), attrs.end(),
-              [](const Attribute* a, const Attribute* b) {
-                return a->name < b->name;
-              });
-    for (const Attribute* attr : attrs) {
-      NodeId attr_id = AddTag(id, attr->name, TreeNodeKind::kAttribute);
-      AddTokens(attr_id, attr->value);
-    }
-    // Then content: text tokens and sub-elements in document order.
-    for (const auto& child : element.children()) {
-      if (child->is_element()) {
-        AddElement(id, *child);
-      } else if (child->is_text()) {
-        AddTokens(id, child->text());
-      }
-    }
-  }
-};
-
-}  // namespace
-
-namespace {
-
-/// Whitespace-separated chunks in `text` — an upper-ish bound on the
-/// token nodes tokenization will produce (stop words and pure numbers
-/// are dropped later, so this usually over-reserves slightly).
-size_t CountTokenChunks(std::string_view text) {
-  size_t n = 0;
-  bool in_chunk = false;
-  for (char c : text) {
-    bool ws = c == ' ' || c == '\t' || c == '\r' || c == '\n';
-    if (!ws && !in_chunk) ++n;
-    in_chunk = !ws;
-  }
-  return n;
-}
-
-/// Estimate of the labeled-tree size of `element`'s subtree: one node
-/// per element and attribute plus the token chunks of attribute values
-/// and text children, so Reserve() avoids rebucketing node storage on
-/// content-rich documents.
-size_t EstimateTreeNodes(const Node& element) {
-  size_t n = 1 + element.attributes().size();
-  for (const Attribute& attr : element.attributes()) {
-    n += CountTokenChunks(attr.value);
-  }
-  for (const auto& child : element.children()) {
-    if (child->is_element()) {
-      n += EstimateTreeNodes(*child);
-    } else if (child->is_text()) {
-      n += CountTokenChunks(child->text());
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-Result<LabeledTree> BuildLabeledTree(const Node& root_element,
-                                     const TreeBuildOptions& options) {
-  if (!root_element.is_element()) {
-    return Status::InvalidArgument(
-        "BuildLabeledTree requires an element node");
-  }
-  Builder builder;
-  builder.tree.Reserve(EstimateTreeNodes(root_element));
-  builder.options = &options;
-  builder.label_transform =
-      options.label_transform ? options.label_transform
-                              : DefaultLabelTransform;
-  builder.tokenizer = options.value_tokenizer ? options.value_tokenizer
-                                              : DefaultValueTokenizer;
-  builder.AddElement(kInvalidNode, root_element);
-  return std::move(builder.tree);
-}
-
-Result<LabeledTree> BuildLabeledTree(const Document& doc,
-                                     const TreeBuildOptions& options) {
-  if (doc.root() == nullptr) {
-    return Status::InvalidArgument("document has no root element");
-  }
-  return BuildLabeledTree(*doc.root(), options);
-}
-
 }  // namespace xsdf::xml

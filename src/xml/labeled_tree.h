@@ -4,14 +4,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
-#include "xml/dom.h"
 
 namespace xsdf::xml {
 
@@ -181,58 +179,6 @@ class LabeledTree {
   mutable CachedMax max_fan_out_;
   mutable CachedMax max_density_;
 };
-
-/// A preprocessed node label together with its interned id
-/// (kNoLabelId when the producer interns nothing).
-struct ResolvedLabel {
-  std::string label;
-  uint32_t id = kNoLabelId;
-};
-
-/// Controls DOM -> LabeledTree conversion.
-struct TreeBuildOptions {
-  /// Include attribute/element text values as token leaf nodes
-  /// (structure-and-content); when false only tags are kept
-  /// (structure-only). See paper §3.1.
-  bool include_values = true;
-
-  /// Maps a raw tag name to one or more node labels. The default
-  /// lowercases the tag. XSDF's linguistic pre-processing (compound
-  /// splitting, stemming) is plugged in here by the core pipeline.
-  std::function<std::string(const std::string&)> label_transform;
-
-  /// Splits a text value into token labels (one leaf node each). The
-  /// default splits on whitespace and lowercases. XSDF's tokenizer,
-  /// stop-word filter, and stemmer are plugged in here.
-  std::function<std::vector<std::string>(const std::string&)>
-      value_tokenizer;
-
-  /// Alternative to label_transform that maps a raw tag name straight
-  /// to its preprocessed label and interned id (trees built through
-  /// the unfused hooks carry no ids), so a memoizing producer answers
-  /// one hash probe per node. The returned reference must stay valid
-  /// for the duration of the build (memo entries do). Takes precedence
-  /// over label_transform when set. The core pipeline plugs its
-  /// pre-processing and core::LabelSpace in here.
-  std::function<const ResolvedLabel&(const std::string&)>
-      resolved_label_transform;
-
-  /// The same for text values, under the same reference-lifetime
-  /// contract. Takes precedence over value_tokenizer when set.
-  std::function<const std::vector<ResolvedLabel>&(const std::string&)>
-      resolved_value_tokenizer;
-};
-
-/// Converts a parsed DOM into the rooted ordered labeled tree of
-/// Definition 1: element nodes in document order, attribute nodes as
-/// children sorted by attribute name before all sub-elements, and text
-/// values tokenized into leaf token nodes.
-Result<LabeledTree> BuildLabeledTree(const Document& doc,
-                                     const TreeBuildOptions& options = {});
-
-/// Same, but starting from an element subtree.
-Result<LabeledTree> BuildLabeledTree(const Node& root_element,
-                                     const TreeBuildOptions& options = {});
 
 }  // namespace xsdf::xml
 

@@ -216,7 +216,7 @@ class DomSink {
   std::vector<Node*> open_;
 };
 
-/// Forwarding sink for `StreamParse`: no DOM, no arena — just the
+/// Forwarding sink for `StreamParse`: no DOM — just the
 /// per-start-tag attribute-name scratch the duplicate check needs.
 class HandlerSink {
  public:

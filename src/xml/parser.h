@@ -16,10 +16,10 @@ namespace xsdf::xml {
 struct ParseLimits {
   /// Maximum accepted input size in bytes.
   size_t max_input_bytes = 64u << 20;
-  /// Maximum element-nesting depth. The parser, serializer, DOM
-  /// destructor, and LabeledTree builder all recurse over the element
-  /// tree, so this bound protects every downstream consumer from stack
-  /// overflow, not just the parse itself.
+  /// Maximum element-nesting depth. The parser itself, xml::Serialize
+  /// and the DOM walks (Node::InnerText, Document::CountElements)
+  /// recurse once per element level, so this bound keeps them clear of
+  /// stack overflow; tree building and DOM destruction are iterative.
   int max_depth = 256;
   /// Maximum number of attributes on a single element.
   size_t max_attributes_per_element = 1024;

@@ -17,6 +17,7 @@
 #include "core/ambiguity.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "snapshot/snapshot.h"
@@ -266,9 +267,9 @@ TEST(IdAmbiguityTest, DegreeAndTargetsMatchIdLessTree) {
     options.ambiguity_weights = weights;
     Disambiguator system(&Network(), options);
     for (const std::string& doc : SampleDocuments()) {
-      auto with_ids = BuildTreeFromXml(doc, Network(), true,
-                                       system.label_space());
-      auto without_ids = BuildTreeFromXml(doc, Network(), true);
+      auto with_ids = BuildTreeStreaming(doc, Network(), {}, true,
+                                         system.label_space());
+      auto without_ids = BuildTreeStreaming(doc, Network());
       ASSERT_TRUE(with_ids.ok() && without_ids.ok());
       ASSERT_TRUE(with_ids->has_label_ids());
       ASSERT_FALSE(without_ids->has_label_ids());
@@ -300,9 +301,9 @@ TEST(IdAmbiguityTest, DegreeAndTargetsMatchIdLessTree) {
     options.ambiguity_threshold = threshold;
     Disambiguator system(&Network(), options);
     for (const std::string& doc : SampleDocuments()) {
-      auto with_ids = BuildTreeFromXml(doc, Network(), true,
-                                       system.label_space());
-      auto without_ids = BuildTreeFromXml(doc, Network(), true);
+      auto with_ids = BuildTreeStreaming(doc, Network(), {}, true,
+                                         system.label_space());
+      auto without_ids = BuildTreeStreaming(doc, Network());
       ASSERT_TRUE(with_ids.ok() && without_ids.ok());
       EXPECT_EQ(system.SelectTargets(*with_ids),
                 SelectTargetNodes(*without_ids, Network(), threshold))

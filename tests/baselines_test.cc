@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "core/baselines.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace xsdf::core {
@@ -28,7 +28,7 @@ const char* kMovieDoc =
     "<cast><star>Kelly</star></cast></picture></films>";
 
 TEST(RpdTest, DisambiguatesStructureNodes) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = BuildTreeStreaming(kMovieDoc, Network());
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   auto result = rpd.RunOnTree(*tree);
@@ -43,7 +43,7 @@ TEST(RpdTest, DisambiguatesStructureNodes) {
 }
 
 TEST(RpdTest, NeverTouchesContentTokens) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = BuildTreeStreaming(kMovieDoc, Network());
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   auto result = rpd.RunOnTree(*tree);
@@ -54,7 +54,7 @@ TEST(RpdTest, NeverTouchesContentTokens) {
 }
 
 TEST(RpdTest, ScoreUsesRootPathContext) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = BuildTreeStreaming(kMovieDoc, Network());
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   // Find the "cast" node: its path context (film/picture ancestors,
@@ -107,7 +107,7 @@ TEST(VsdTest, LeacockChodorowProperties) {
 TEST(VsdTest, CrossableThresholdLimitsContext) {
   // With a very tight threshold only the immediate ring is crossable,
   // so scores shrink relative to a permissive threshold.
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = BuildTreeStreaming(kMovieDoc, Network());
   ASSERT_TRUE(tree.ok());
   xml::NodeId star = xml::kInvalidNode;
   for (const auto& node : tree->nodes()) {
@@ -123,7 +123,7 @@ TEST(VsdTest, CrossableThresholdLimitsContext) {
 }
 
 TEST(VsdTest, RunAssignsStructureOnly) {
-  auto tree = BuildTreeFromXml(kMovieDoc, Network());
+  auto tree = BuildTreeStreaming(kMovieDoc, Network());
   ASSERT_TRUE(tree.ok());
   VsdBaseline vsd(&Network());
   auto result = vsd.RunOnTree(*tree);
@@ -141,7 +141,7 @@ TEST(BaselineComparisonTest, SystemsDisagreeSomewhere) {
   const char* doc =
       "<club><name>golf</name><president>Stewart</president>"
       "<members><member><hobby>tennis</hobby></member></members></club>";
-  auto tree = BuildTreeFromXml(doc, Network());
+  auto tree = BuildTreeStreaming(doc, Network());
   ASSERT_TRUE(tree.ok());
   RpdBaseline rpd(&Network());
   VsdBaseline vsd(&Network());

@@ -11,6 +11,7 @@
 #include "core/context_vector.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
+#include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "eval/experiment.h"
 #include "wordnet/mini_wordnet.h"
@@ -152,7 +153,7 @@ TEST_F(CorpusInvariantsTest, SerializerRoundTripsEveryDocument) {
 TEST_F(CorpusInvariantsTest, TreesRebuildIdentically) {
   for (size_t i = 0; i < corpus().size(); i += 5) {
     const auto& doc = corpus()[i];
-    auto rebuilt = core::BuildTreeFromXml(doc.generated.xml, network());
+    auto rebuilt = core::BuildTreeStreaming(doc.generated.xml, network());
     ASSERT_TRUE(rebuilt.ok());
     ASSERT_EQ(rebuilt->size(), doc.tree.size()) << doc.generated.name;
     for (size_t n = 0; n < doc.tree.size(); ++n) {

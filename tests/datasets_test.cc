@@ -6,7 +6,7 @@
 
 #include <set>
 
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "eval/gold.h"
 #include "wordnet/mini_wordnet.h"
@@ -102,7 +102,7 @@ TEST(DatasetsTest, GoldLabelsAppearInTrees) {
     int present = 0;
     int total = 0;
     for (const GeneratedDocument& doc : docs) {
-      auto tree = core::BuildTreeFromXml(doc.xml, Network());
+      auto tree = core::BuildTreeStreaming(doc.xml, Network());
       ASSERT_TRUE(tree.ok());
       std::set<std::string> labels;
       for (const auto& node : tree->nodes()) labels.insert(node.label);
@@ -119,8 +119,8 @@ TEST(DatasetsTest, ShakespeareIsLargestAndDeepest) {
   auto shakespeare = AllDatasets()[0]->Generate(11);
   auto club = AllDatasets()[9]->Generate(11);
   auto tree_s =
-      core::BuildTreeFromXml(shakespeare[0].xml, Network());
-  auto tree_c = core::BuildTreeFromXml(club[0].xml, Network());
+      core::BuildTreeStreaming(shakespeare[0].xml, Network());
+  auto tree_c = core::BuildTreeStreaming(club[0].xml, Network());
   ASSERT_TRUE(tree_s.ok());
   ASSERT_TRUE(tree_c.ok());
   xml::TreeShape shape_s = xml::ComputeTreeShape(*tree_s);
@@ -137,7 +137,7 @@ TEST(DatasetsTest, GroupOneIsMostAmbiguous) {
     double sum = 0.0;
     int nodes = 0;
     for (const auto& doc : docs) {
-      auto tree = core::BuildTreeFromXml(doc.xml, Network());
+      auto tree = core::BuildTreeStreaming(doc.xml, Network());
       for (const auto& node : tree->nodes()) {
         sum += Network().SenseCount(node.label);
         ++nodes;

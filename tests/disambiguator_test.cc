@@ -11,7 +11,6 @@
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/streaming_builder.h"
-#include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "semantic_xml_oracle.h"
 #include "wordnet/mini_wordnet.h"
@@ -196,7 +195,7 @@ TEST(DisambiguatorTest, DisambiguateNodeErrorsOnSenselessLabel) {
 TEST(DisambiguatorTest, PerNodeEntryPointsRejectIdLessTrees) {
   // Per-node calls have one path: a tree without label ids is a caller
   // error, not a cue to fall back to string labels.
-  auto tree = BuildTreeFromXml(kFigure1Doc1, Network());
+  auto tree = BuildTreeStreaming(kFigure1Doc1, Network());
   ASSERT_TRUE(tree.ok());
   ASSERT_FALSE(tree->has_label_ids());
   Disambiguator system(&Network());

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/disambiguator.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "eval/gold.h"
 #include "eval/metrics.h"
 #include "eval/raters.h"
@@ -78,7 +78,7 @@ TEST(GoldTest, ResolveGoldMapsKeys) {
 TEST(GoldTest, ScoreAgainstGoldCountsCorrectly) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star></cast></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   ASSERT_TRUE(tree.ok());
   core::Disambiguator system(&Network());
   auto result = system.RunOnTree(*tree);
@@ -97,7 +97,7 @@ TEST(GoldTest, ScoreAgainstGoldCountsCorrectly) {
 TEST(GoldTest, ScoreOnNodesRestrictsToSample) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star></cast></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   core::Disambiguator system(&Network());
   auto result = system.RunOnTree(*tree);
   auto gold = ResolveGold(
@@ -119,7 +119,7 @@ TEST(GoldTest, SampleGoldNodesDeterministicAndBounded) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star><star>Stewart</star>"
       "</cast><plot>mystery</plot></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   auto gold = ResolveGold({{"star", "star.performer.n"},
                            {"cast", "cast.actors.n"},
                            {"plot", "plot.story.n"},
@@ -144,7 +144,7 @@ TEST(GoldTest, StructureBiasFavorsTags) {
   const char* doc =
       "<cast><star>Kelly</star><star>Stewart</star>"
       "<star>Hitchcock</star></cast>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   auto gold = ResolveGold({{"star", "star.performer.n"},
                            {"kelly", "grace_kelly.n"},
                            {"stewart", "james_stewart.n"},
@@ -165,7 +165,7 @@ TEST(GoldTest, StructureBiasFavorsTags) {
 TEST(RatersTest, RatingsAreDeterministicAndBounded) {
   const char* doc =
       "<films><picture><cast><star>Kelly</star></cast></picture></films>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   auto nodes = SampleRatableNodes(*tree, Network(), 5, 7);
   ASSERT_FALSE(nodes.empty());
   RaterPanelOptions options;
@@ -182,7 +182,7 @@ TEST(RatersTest, ClarityLowersRatings) {
   const char* doc =
       "<personnel><person><address><state>virginia</state></address>"
       "</person></personnel>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   auto nodes = SampleRatableNodes(*tree, Network(), 10, 7);
   RaterPanelOptions opaque;
   opaque.context_clarity = 0.0;
@@ -204,7 +204,7 @@ TEST(RatersTest, ClarityLowersRatings) {
 
 TEST(RatersTest, PolysemousNodesRatedHigherWithoutClarity) {
   const char* doc = "<x><head>y</head><wheelchair>z</wheelchair></x>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   // Locate "head" (33 senses) and "wheelchair" (1 sense).
   xml::NodeId head = xml::kInvalidNode;
   xml::NodeId wheelchair = xml::kInvalidNode;
@@ -222,7 +222,7 @@ TEST(RatersTest, PolysemousNodesRatedHigherWithoutClarity) {
 
 TEST(RatersTest, SampleRatableNodesSkipsSenseless) {
   const char* doc = "<zzz><qqq>vvv</qqq></zzz>";
-  auto tree = core::BuildTreeFromXml(doc, Network());
+  auto tree = core::BuildTreeStreaming(doc, Network());
   EXPECT_TRUE(SampleRatableNodes(*tree, Network(), 5, 3).empty());
 }
 

@@ -1,6 +1,6 @@
-// Tests for the interned, arena-backed front end: the bump arena, the
-// engine-wide label id space (cross-document id stability, exact-
-// spelling injectivity), and the headline contract — the id pipeline's
+// Tests for the interned front end: the engine-wide label id space
+// (cross-document id stability, exact-spelling injectivity), and the
+// headline contract — the id pipeline's
 // disambiguation output is pinned bit for bit by checked-in goldens,
 // single-threaded and through the engine at 1 and 8 workers, including
 // the `explain` audit JSON.
@@ -17,13 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/strings.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
 #include "core/scores.h"
 #include "core/streaming_builder.h"
-#include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "runtime/engine.h"
 #include "wordnet/mini_wordnet.h"
@@ -38,93 +36,6 @@ const wordnet::SemanticNetwork& Network() {
     return new wordnet::SemanticNetwork(std::move(result).value());
   }();
   return *network;
-}
-
-// ============================ Arena ===============================
-
-TEST(ArenaTest, BumpAllocationsAreAlignedAndCounted) {
-  Arena arena;
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.block_count(), 0u);
-  void* a = arena.Allocate(3, 1);
-  void* b = arena.Allocate(8, 8);
-  void* c = arena.Allocate(1, 64);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
-  EXPECT_GE(arena.bytes_used(), 3u + 8u + 1u);
-  EXPECT_EQ(arena.block_count(), 1u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-}
-
-TEST(ArenaTest, GrowsBlocksGeometrically) {
-  Arena arena;
-  for (int i = 0; i < 2000; ++i) arena.Allocate(64, 8);
-  EXPECT_GE(arena.bytes_used(), 2000u * 64u);
-  EXPECT_GT(arena.block_count(), 1u) << "growth must add blocks";
-  EXPECT_LT(arena.block_count(), 40u) << "blocks must grow geometrically";
-}
-
-TEST(ArenaTest, OversizedAllocationGetsItsOwnBlock) {
-  Arena arena;
-  void* big = arena.Allocate(1 << 20, 16);
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), static_cast<size_t>(1 << 20));
-}
-
-TEST(ArenaTest, CopyStringIsStableAndDetached) {
-  Arena arena;
-  std::string original = "semantic ambiguity";
-  std::string_view view = arena.CopyString(original);
-  original.assign(original.size(), 'x');  // mutate the source
-  EXPECT_EQ(view, "semantic ambiguity");
-  EXPECT_EQ(arena.CopyString("").size(), 0u);
-}
-
-struct DtorRecorder {
-  std::vector<int>* order;
-  int id;
-  ~DtorRecorder() { order->push_back(id); }
-};
-
-TEST(ArenaTest, RunsOwnedDestructorsInReverseOrder) {
-  std::vector<int> order;
-  {
-    Arena arena;
-    arena.New<DtorRecorder>(&order, 1);
-    arena.New<DtorRecorder>(&order, 2);
-    arena.New<DtorRecorder>(&order, 3);
-    // Trivially destructible types must not register anything.
-    arena.New<int>(7);
-  }
-  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
-}
-
-TEST(ArenaTest, ResetReturnsToFreshState) {
-  std::vector<int> order;
-  Arena arena;
-  arena.New<DtorRecorder>(&order, 1);
-  arena.Allocate(1 << 16);
-  arena.Reset();
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  EXPECT_EQ(arena.block_count(), 0u);
-  // And the arena is usable again.
-  EXPECT_EQ(arena.CopyString("again"), "again");
-}
-
-TEST(ArenaTest, DocumentParseLandsInArena) {
-  auto doc = xml::Parse("<a b=\"c\"><d>text value here</d><e/></a>");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_GT(doc->arena().bytes_used(), 0u);
-  // Moving the document must not invalidate its nodes (the arena is
-  // heap-held and moves by pointer).
-  xml::Document moved = std::move(doc).value();
-  ASSERT_NE(moved.root(), nullptr);
-  EXPECT_EQ(moved.root()->name(), "a");
-  ASSERT_EQ(moved.root()->children().size(), 2u);
-  EXPECT_EQ(moved.root()->children()[0]->name(), "d");
 }
 
 // ========================== LabelSpace ============================
@@ -186,12 +97,12 @@ TEST(LabelSpaceTest, SenselessOverflowLabelsShareOneEmptyResolution) {
 
 TEST(LabelSpaceTest, CrossDocumentInterningIsStable) {
   core::LabelSpace space(&Network());
-  auto tree1 = core::BuildTreeFromXml(
+  auto tree1 = core::BuildTreeStreaming(
       "<films><star>Kelly</star><custom_tag>x</custom_tag></films>",
-      Network(), /*include_values=*/true, &space);
-  auto tree2 = core::BuildTreeFromXml(
+      Network(), {}, /*include_values=*/true, &space);
+  auto tree2 = core::BuildTreeStreaming(
       "<catalog><star>Stewart</star><custom_tag>y</custom_tag></catalog>",
-      Network(), /*include_values=*/true, &space);
+      Network(), {}, /*include_values=*/true, &space);
   ASSERT_TRUE(tree1.ok() && tree2.ok());
   EXPECT_TRUE(tree1->has_label_ids());
   EXPECT_TRUE(tree2->has_label_ids());

@@ -3,14 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/streaming_builder.h"
+#include "wordnet/mini_wordnet.h"
 #include "xml/parser.h"
 #include "xml/path_query.h"
 
 namespace xsdf::xml {
 namespace {
 
-Document MovieDoc() {
-  auto doc = Parse(R"(<films>
+constexpr char kMovieXml[] = R"(<films>
     <picture title="Rear Window">
       <director>Hitchcock</director>
       <cast><star>Stewart</star><star>Kelly</star></cast>
@@ -19,7 +20,10 @@ Document MovieDoc() {
       <cast><star>Stewart</star></cast>
     </picture>
     <short><star>Cameo</star></short>
-  </films>)");
+  </films>)";
+
+Document MovieDoc() {
+  auto doc = Parse(kMovieXml);
   EXPECT_TRUE(doc.ok());
   return std::move(doc).value();
 }
@@ -127,8 +131,9 @@ TEST(PathQueryTest, DocumentOrderAndNoDuplicates) {
 }
 
 TEST(PathQueryTest, EvaluateOnLabeledTree) {
-  auto doc = MovieDoc();
-  auto tree = BuildLabeledTree(doc);
+  auto network = wordnet::BuildMiniWordNet();
+  ASSERT_TRUE(network.ok());
+  auto tree = core::BuildTreeStreaming(kMovieXml, *network);
   ASSERT_TRUE(tree.ok());
   auto query = PathQuery::Parse("//star");
   ASSERT_TRUE(query.ok());

@@ -10,7 +10,9 @@
 
 #include <string>
 
+#include "core/streaming_builder.h"
 #include "prop/generators.h"
+#include "wordnet/mini_wordnet.h"
 #include "wordnet/wndb.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
@@ -18,6 +20,14 @@
 
 namespace xsdf {
 namespace {
+
+const wordnet::SemanticNetwork& Network() {
+  static const wordnet::SemanticNetwork* network = [] {
+    auto result = wordnet::BuildMiniWordNet();
+    return new wordnet::SemanticNetwork(std::move(result).value());
+  }();
+  return *network;
+}
 
 /// Tight limits so the oracle exercises the limit paths often.
 xml::ParseOptions TightXmlOptions() {
@@ -56,11 +66,9 @@ TEST(StatusOracleProp, MutatedXmlNeverCrashesAndAcceptedInputIsStable) {
         << ": accepted input whose serialization is rejected: "
         << reparsed.status().ToString() << "\nserialized:\n"
         << serialized;
-    if (doc->root() != nullptr) {
-      auto tree = xml::BuildLabeledTree(*doc);
-      ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-      ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
-    }
+    auto tree = core::BuildTreeStreaming(text, Network(), TightXmlOptions());
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   }
   // Mutation leaves some documents well-formed and breaks others; both
   // sides of the oracle must actually have been exercised.

@@ -1,20 +1,30 @@
 // Property tests for the XML layer: every generated well-formed
 // document must survive parse -> serialize -> reparse with identical
 // structure, the serialized form must be a fixed point, and the
-// LabeledTree built from any parsed document must pass its structural
-// audit.
+// LabeledTree the streaming front end builds from any such document
+// must pass its structural audit.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "core/streaming_builder.h"
 #include "prop/generators.h"
+#include "wordnet/mini_wordnet.h"
 #include "xml/labeled_tree.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xsdf {
 namespace {
+
+const wordnet::SemanticNetwork& Network() {
+  static const wordnet::SemanticNetwork* network = [] {
+    auto result = wordnet::BuildMiniWordNet();
+    return new wordnet::SemanticNetwork(std::move(result).value());
+  }();
+  return *network;
+}
 
 /// Options under which the round trip is an exact fixed point: keep
 /// whitespace-only text (the generator emits it as real content), drop
@@ -78,9 +88,7 @@ TEST(XmlRoundTripProp, LabeledTreesValidateOnGeneratedDocuments) {
   Rng rng(0x5eed0003);
   for (int i = 0; i < 200; ++i) {
     std::string text = propgen::GenerateXmlDocument(rng);
-    auto doc = xml::Parse(text);
-    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-    auto tree = xml::BuildLabeledTree(*doc);
+    auto tree = core::BuildTreeStreaming(text, Network());
     ASSERT_TRUE(tree.ok()) << "doc " << i << ": "
                            << tree.status().ToString();
     Status audit = tree->Validate();

@@ -7,10 +7,9 @@
 #include <algorithm>
 
 #include "core/query_rewriter.h"
-#include "core/tree_builder.h"
+#include "core/streaming_builder.h"
 #include "datasets/generator.h"
 #include "wordnet/mini_wordnet.h"
-#include "xml/parser.h"
 #include "xml/path_query.h"
 
 namespace xsdf::core {
@@ -28,7 +27,7 @@ TEST(QueryRewriterTest, GroundsStepsToConcepts) {
   auto docs = datasets::Figure1Documents();
   QueryRewriter rewriter(&Network());
   auto rewriting =
-      rewriter.RewriteOverXml("/films/picture", {docs[0].xml});
+      rewriter.Rewrite("/films/picture", {docs[0].xml});
   ASSERT_TRUE(rewriting.ok()) << rewriting.status().ToString();
   ASSERT_EQ(rewriting->step_concepts.size(), 2u);
   // Both steps ground to some concept.
@@ -39,7 +38,7 @@ TEST(QueryRewriterTest, GroundsStepsToConcepts) {
 TEST(QueryRewriterTest, RewritingsIncludeSynonyms) {
   auto docs = datasets::Figure1Documents();
   QueryRewriter rewriter(&Network());
-  auto rewriting = rewriter.RewriteOverXml("//film", {docs[0].xml});
+  auto rewriting = rewriter.Rewrite("//film", {docs[0].xml});
   ASSERT_TRUE(rewriting.ok());
   // film grounds to the movie synset; movie/picture/... appear as
   // alternatives.
@@ -59,9 +58,7 @@ TEST(QueryRewriterTest, CrossSchemaRetrieval) {
   // The headline scenario: a query written against Figure 1's first
   // schema retrieves from the second schema only after rewriting.
   auto docs = datasets::Figure1Documents();
-  auto doc_b = xml::Parse(docs[1].xml);
-  ASSERT_TRUE(doc_b.ok());
-  auto tree_b = BuildTree(*doc_b, Network());
+  auto tree_b = BuildTreeStreaming(docs[1].xml, Network());
   ASSERT_TRUE(tree_b.ok());
 
   const std::string original = "//picture";
@@ -72,7 +69,7 @@ TEST(QueryRewriterTest, CrossSchemaRetrieval) {
 
   QueryRewriter rewriter(&Network());
   auto rewriting =
-      rewriter.RewriteOverXml(original, {docs[0].xml, docs[1].xml});
+      rewriter.Rewrite(original, {docs[0].xml, docs[1].xml});
   ASSERT_TRUE(rewriting.ok());
   bool matched = false;
   for (const std::string& q : rewriting->queries) {
@@ -88,7 +85,7 @@ TEST(QueryRewriterTest, CrossSchemaRetrieval) {
 TEST(QueryRewriterTest, PreservesPredicatesAndAxes) {
   auto docs = datasets::Figure1Documents();
   QueryRewriter rewriter(&Network());
-  auto rewriting = rewriter.RewriteOverXml(
+  auto rewriting = rewriter.Rewrite(
       "/films//picture[@title='Rear Window']", {docs[0].xml});
   ASSERT_TRUE(rewriting.ok());
   for (const std::string& q : rewriting->queries) {
@@ -105,7 +102,7 @@ TEST(QueryRewriterTest, PreservesPredicatesAndAxes) {
 TEST(QueryRewriterTest, BoundedExpansion) {
   auto docs = datasets::Figure1Documents();
   QueryRewriter rewriter(&Network());
-  auto rewriting = rewriter.RewriteOverXml(
+  auto rewriting = rewriter.Rewrite(
       "/films/picture/cast/star", {docs[0].xml}, /*max_rewritings=*/8);
   ASSERT_TRUE(rewriting.ok());
   EXPECT_LE(rewriting->queries.size(), 8u);
@@ -114,7 +111,7 @@ TEST(QueryRewriterTest, BoundedExpansion) {
 
 TEST(QueryRewriterTest, UnknownLabelsPassThrough) {
   QueryRewriter rewriter(&Network());
-  auto rewriting = rewriter.RewriteOverXml(
+  auto rewriting = rewriter.Rewrite(
       "//zzunknownzz", {"<zzunknownzz>x</zzunknownzz>"});
   ASSERT_TRUE(rewriting.ok());
   EXPECT_EQ(rewriting->queries,
@@ -124,13 +121,13 @@ TEST(QueryRewriterTest, UnknownLabelsPassThrough) {
 
 TEST(QueryRewriterTest, MalformedQueryRejected) {
   QueryRewriter rewriter(&Network());
-  auto rewriting = rewriter.RewriteOverXml("///", {"<a/>"});
+  auto rewriting = rewriter.Rewrite("///", {"<a/>"});
   EXPECT_FALSE(rewriting.ok());
 }
 
 TEST(QueryRewriterTest, MalformedCorpusRejected) {
   QueryRewriter rewriter(&Network());
-  auto rewriting = rewriter.RewriteOverXml("//a", {"<broken>"});
+  auto rewriting = rewriter.Rewrite("//a", {"<broken>"});
   EXPECT_FALSE(rewriting.ok());
 }
 

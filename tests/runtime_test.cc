@@ -102,25 +102,6 @@ TEST(ShardedLruCacheTest, ResetCountersKeepsEntries) {
   EXPECT_TRUE(cache.Lookup(1, &value));
 }
 
-TEST(ShardedLruCacheTest, CoarsePromotionSkipsSplicesButCountsHits) {
-  // promote_every=2: only every second hit refreshes recency, so a key
-  // touched once between inserts can still be the eviction victim.
-  ShardedLruCache<int, int> cache(/*capacity=*/3, /*shard_count=*/1,
-                                  /*promote_every=*/2);
-  cache.Insert(1, 1);
-  cache.Insert(2, 2);
-  cache.Insert(3, 3);
-  int value = 0;
-  // First hit on 1 is not promoted (hit 1 of 2), so 1 stays LRU.
-  ASSERT_TRUE(cache.Lookup(1, &value));
-  cache.Insert(4, 4);
-  EXPECT_FALSE(cache.Lookup(1, &value)) << "unpromoted key evicted";
-  CacheStats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-}
-
 TEST(SimilarityCacheTest, EvictsDeterministicallyWhenASetOverflows) {
   // Tiny table (64 slots = 16 sets x 4 ways): inserting far more keys
   // than slots must overwrite, keep exact counters, and keep every
@@ -664,8 +645,9 @@ TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {
   // Every document contributes one sample to each per-stage histogram
   // (stage.parse_us covers the fused parse + tree build).
   for (const char* name :
-       {"stage.parse_us", "stage.select_us",
-        "stage.serialize_us", "engine.job_wait_us", "engine.job_run_us"}) {
+       {"stage.parse_us", "stage.select_us", "stage.context_us",
+        "stage.score_us", "stage.serialize_us", "engine.job_wait_us",
+        "engine.job_run_us"}) {
     EXPECT_EQ(metrics.GetHistogram(name)->Snapshot().count, jobs.size())
         << name;
   }
@@ -680,6 +662,48 @@ TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {
   EXPECT_EQ(static_cast<uint64_t>(
                 metrics.GetGauge("cache.sense.capacity")->Value()),
             stats.sense_cache.capacity);
+}
+
+// The same one-sample-per-document rule on a single worker and on a
+// giant document whose target chunks helpers steal: the document's
+// context and score time is summed over its chunks and recorded once.
+TEST(DisambiguationEngineTest, StageHistogramsSampleOncePerDocument) {
+  auto giant = datasets::GiantDocuments(/*count=*/1,
+                                        /*target_bytes=*/64u << 10,
+                                        /*seed=*/3);
+  ASSERT_EQ(giant.size(), 1u);
+  struct Case {
+    const char* name;
+    int threads;
+    std::vector<DocumentJob> jobs;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"one worker", 1, TestCorpus()});
+  cases.push_back({"stolen giant", 4, {{0, giant[0].name, giant[0].xml}}});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    obs::MetricsRegistry metrics;
+    EngineOptions options;
+    options.threads = c.threads;
+    options.metrics = &metrics;
+    options.subtree_min_targets = 8;
+    options.subtree_chunk_targets = 16;
+    options.disambiguator.sphere_radius = 1;
+    DisambiguationEngine engine(&Network(), options);
+    const size_t documents = c.jobs.size();
+    for (const auto& result : engine.RunBatch(std::move(c.jobs))) {
+      ASSERT_TRUE(result.ok) << result.name << ": " << result.error;
+    }
+    if (c.threads > 1) {
+      EXPECT_EQ(engine.stats().subtree_parallel_docs, 1u);
+    }
+    for (const char* name : {"stage.parse_us", "stage.select_us",
+                             "stage.context_us", "stage.score_us",
+                             "stage.serialize_us"}) {
+      EXPECT_EQ(metrics.GetHistogram(name)->Snapshot().count, documents)
+          << name;
+    }
+  }
 }
 
 TEST(DisambiguationEngineTest, TraceSessionRecordsOneTidPerWorker) {

@@ -1,6 +1,6 @@
 // Streaming front-end identity tests: the fused one-pass parse + tree
 // build (core::BuildTreeStreaming) must be indistinguishable from the
-// two-pass DOM oracle (xml::Parse + core::BuildTree) — same nodes,
+// DOM oracle (xml::Parse + tests/labeled_tree_oracle.h) — same nodes,
 // same labels, same interned ids — over arbitrary generated documents;
 // the engine's batch output must be byte-identical at any worker
 // count; and the intra-document subtree work stealing must never
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
+#include "labeled_tree_oracle.h"
 #include "obs/metrics.h"
 #include "prop/generators.h"
 #include "runtime/engine.h"
@@ -36,34 +38,61 @@ const wordnet::SemanticNetwork& Network() {
   return *network;
 }
 
-/// Structural + label identity of two labeled trees, including the
-/// interned label ids (which encode interning *order*, so equality
-/// proves the two builds resolved labels in the same sequence).
-void ExpectTreesIdentical(const xml::LabeledTree& dom,
-                          const xml::LabeledTree& streaming,
-                          const std::string& context) {
-  ASSERT_EQ(dom.size(), streaming.size()) << context;
-  for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(dom.size()); ++id) {
-    const xml::TreeNode& a = dom.node(id);
-    const xml::TreeNode& b = streaming.node(id);
-    ASSERT_EQ(a.label, b.label) << context << " node " << id;
-    ASSERT_EQ(a.raw, b.raw) << context << " node " << id;
-    ASSERT_EQ(a.kind, b.kind) << context << " node " << id;
-    ASSERT_EQ(a.parent, b.parent) << context << " node " << id;
-    ASSERT_EQ(a.children, b.children) << context << " node " << id;
-    ASSERT_EQ(a.depth, b.depth) << context << " node " << id;
-    ASSERT_EQ(dom.label_id(id), streaming.label_id(id))
-        << context << " node " << id;
+TEST(StreamingBuilderTest, FromDocument) {
+  auto tree = core::BuildTreeStreaming(
+      "<films><picture><cast><star>Stewart</star><star>Kelly</star></cast>"
+      "<plot>spies</plot></picture></films>",
+      Network());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->size(), 9u);  // 6 elements + 3 value tokens
+  EXPECT_EQ(tree->node(0).label, "film");  // stemmed; raw keeps the tag
+  EXPECT_EQ(tree->node(0).raw, "films");
+  EXPECT_EQ(tree->node(0).kind, xml::TreeNodeKind::kElement);
+  EXPECT_EQ(tree->node(4).kind, xml::TreeNodeKind::kToken);
+  EXPECT_TRUE(tree->Validate().ok());
+}
+
+TEST(StreamingBuilderTest, AttributesSortedBeforeElements) {
+  auto tree = core::BuildTreeStreaming(
+      "<m zeta=\"zebra\" alpha=\"apple\"><child/></m>", Network());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_EQ(tree->size(), 6u);
+  // Order: m(0), alpha(1), apple(2 token), zeta(3), zebra(4 token),
+  // child(5).
+  EXPECT_EQ(tree->node(1).label, "alpha");
+  EXPECT_EQ(tree->node(1).kind, xml::TreeNodeKind::kAttribute);
+  EXPECT_EQ(tree->node(2).label, "apple");
+  EXPECT_EQ(tree->node(2).kind, xml::TreeNodeKind::kToken);
+  EXPECT_EQ(tree->node(2).parent, 1);
+  EXPECT_EQ(tree->node(3).label, "zeta");
+  EXPECT_EQ(tree->node(4).label, "zebra");
+  EXPECT_EQ(tree->node(5).label, "child");
+  EXPECT_EQ(tree->node(5).kind, xml::TreeNodeKind::kElement);
+}
+
+TEST(StreamingBuilderTest, StructureOnlySkipsValues) {
+  auto tree = core::BuildTreeStreaming(
+      "<m year=\"1954\"><name>Rear Window</name></m>", Network(),
+      xml::ParseOptions{}, /*include_values=*/false);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  for (const xml::TreeNode& node : tree->nodes()) {
+    EXPECT_NE(node.kind, xml::TreeNodeKind::kToken);
   }
-  EXPECT_EQ(dom.has_label_ids(), streaming.has_label_ids()) << context;
+  EXPECT_EQ(tree->size(), 3u);  // m, year, name
+}
+
+TEST(StreamingBuilderTest, RejectsEmptyDocument) {
+  EXPECT_FALSE(core::BuildTreeStreaming("", Network()).ok());
+  EXPECT_FALSE(core::BuildTreeStreaming("<?xml version=\"1.0\"?>",
+                                        Network()).ok());
 }
 
 // The core identity property, driven over 500 generated documents:
 // for every well-formed input, BuildTreeStreaming produces exactly the
-// tree that Parse + BuildTree produces — same preorder, same labels,
-// same raws, same kinds, and (under independent LabelSpaces) the same
-// interned ids, which proves the interning order is reproduced too.
-TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
+// oracle's tree — same preorder, same labels, same raws, same kinds,
+// and (under independent LabelSpaces) the same interned ids, which
+// proves the memoized interning order equals per-node resolution.
+TEST(StreamingBuilderTest, MatchesDomOracleOnGeneratedCorpus) {
   Rng rng(20260807);
   propgen::XmlGenOptions gen;
   gen.max_depth = 6;
@@ -74,9 +103,9 @@ TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
     auto doc = xml::Parse(xml_text);
     ASSERT_TRUE(doc.ok()) << "doc " << i << ": " << doc.status().ToString();
 
-    core::LabelSpace dom_space(&Network());
-    auto dom_tree = core::BuildTree(*doc, Network(),
-                                    /*include_values=*/true, &dom_space);
+    core::LabelSpace oracle_space(&Network());
+    auto oracle_tree = testing::OracleLabeledTree(
+        *doc, Network(), /*include_values=*/true, &oracle_space);
 
     core::LabelSpace streaming_space(&Network());
     core::TreeBuildCache streaming_cache;
@@ -84,46 +113,38 @@ TEST(StreamingBuilderTest, MatchesDomBuildOnGeneratedCorpus) {
         xml_text, Network(), xml::ParseOptions{}, /*include_values=*/true,
         &streaming_space, &streaming_cache);
 
-    // Both paths must agree even on rejection (e.g. a document whose
-    // root is only whitespace text builds no tree).
-    ASSERT_EQ(dom_tree.ok(), streaming_tree.ok())
-        << "doc " << i << ": dom=" << dom_tree.status().ToString()
+    // Both must agree even on rejection.
+    ASSERT_EQ(oracle_tree.ok(), streaming_tree.ok())
+        << "doc " << i << ": oracle=" << oracle_tree.status().ToString()
         << " streaming=" << streaming_tree.status().ToString();
-    if (!dom_tree.ok()) {
+    if (!oracle_tree.ok()) {
       ++skipped;
       continue;
     }
-    ExpectTreesIdentical(*dom_tree, *streaming_tree,
-                         "doc " + std::to_string(i));
+    ASSERT_EQ(testing::DiffLabeledTrees(*oracle_tree, *streaming_tree), "")
+        << "doc " << i;
   }
   // The generator overwhelmingly produces buildable documents; if most
   // were skipped the property above tested nothing.
   EXPECT_LT(skipped, 50);
 }
 
-// Structure-only mode (include_values = false) must agree too — the
-// token-suppression logic lives in different places on the two paths.
-TEST(StreamingBuilderTest, MatchesDomBuildWithoutValues) {
+// Structure-only mode (include_values = false) must agree too.
+TEST(StreamingBuilderTest, MatchesDomOracleWithoutValues) {
   Rng rng(7);
   propgen::XmlGenOptions gen;
   for (int i = 0; i < 50; ++i) {
     const std::string xml_text = propgen::GenerateXmlDocument(rng, gen);
     auto doc = xml::Parse(xml_text);
     ASSERT_TRUE(doc.ok());
-    auto dom_tree =
-        core::BuildTree(*doc, Network(), /*include_values=*/false);
+    auto oracle_tree = testing::OracleLabeledTree(*doc, Network(),
+                                                  /*include_values=*/false);
     auto streaming_tree = core::BuildTreeStreaming(
         xml_text, Network(), xml::ParseOptions{}, /*include_values=*/false);
-    ASSERT_EQ(dom_tree.ok(), streaming_tree.ok()) << "doc " << i;
-    if (!dom_tree.ok()) continue;
-    ASSERT_EQ(dom_tree->size(), streaming_tree->size()) << "doc " << i;
-    for (xml::NodeId id = 0;
-         id < static_cast<xml::NodeId>(dom_tree->size()); ++id) {
-      ASSERT_EQ(dom_tree->node(id).label, streaming_tree->node(id).label)
-          << "doc " << i << " node " << id;
-      ASSERT_EQ(dom_tree->node(id).kind, streaming_tree->node(id).kind)
-          << "doc " << i << " node " << id;
-    }
+    ASSERT_EQ(oracle_tree.ok(), streaming_tree.ok()) << "doc " << i;
+    if (!oracle_tree.ok()) continue;
+    ASSERT_EQ(testing::DiffLabeledTrees(*oracle_tree, *streaming_tree), "")
+        << "doc " << i;
   }
 }
 
@@ -163,7 +184,7 @@ TEST(StreamingBuilderTest, MalformedAndOverBudgetInputsFailCleanly) {
 
 // Streaming reports bounded scaffolding: on a document dominated by
 // wide/deep repetition the transient builder state must stay far below
-// the DOM arena's footprint (the bounded-peak-memory claim, asserted
+// a DOM's footprint (the bounded-peak-memory claim, asserted
 // end-to-end by the giant-doc CI job; this is the in-process version).
 TEST(StreamingBuilderTest, ScaffoldingStaysSmall) {
   auto giant = datasets::GiantDocuments(1, /*target_bytes=*/1u << 20, 3);
@@ -248,7 +269,7 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
 
   // Disabling the fan-out must change nothing but the path taken.
   runtime::EngineOptions serial = pool;
-  serial.subtree_parallelism = false;
+  serial.subtree_min_targets = SIZE_MAX;
   runtime::EngineStats serial_stats;
   std::vector<std::string> serial_output =
       RunEngine(serial, jobs, &serial_stats);

@@ -162,6 +162,19 @@ TEST(XmlParserTest, DeepNesting) {
   EXPECT_EQ(doc->CountElements(), 200u);
 }
 
+TEST(XmlParserTest, MovedDocumentKeepsNodePointers) {
+  auto doc = Parse("<a b=\"c\"><d>text value here</d><e/></a>");
+  ASSERT_TRUE(doc.ok());
+  const Node* root = doc->root();
+  // Node storage is heap-held, so a move carries the nodes along.
+  Document moved = std::move(doc).value();
+  ASSERT_EQ(moved.root(), root);
+  EXPECT_EQ(moved.root()->name(), "a");
+  ASSERT_EQ(moved.root()->children().size(), 2u);
+  EXPECT_EQ(moved.root()->children()[0]->name(), "d");
+  EXPECT_EQ(moved.root()->children()[0]->InnerText(), "text value here");
+}
+
 TEST(XmlParserTest, FindChildElements) {
   auto doc = Parse("<cast><star>a</star><extra/><star>b</star></cast>");
   ASSERT_TRUE(doc.ok());

@@ -1,11 +1,10 @@
 // Unit tests for the rooted ordered labeled tree (paper Definition 1):
-// construction from DOM, preorder ids, attribute ordering, distances,
-// rings, root paths, subtrees, and shape statistics.
+// preorder ids, distances, rings, root paths, subtrees, and shape
+// statistics. Building trees from XML is covered by streaming_test.
 
 #include <gtest/gtest.h>
 
 #include "xml/labeled_tree.h"
-#include "xml/parser.h"
 #include "xml/tree_stats.h"
 
 namespace xsdf::xml {
@@ -103,80 +102,6 @@ TEST(LabeledTreeTest, SubtreePreorder) {
   EXPECT_EQ(tree.Subtree(2), (std::vector<NodeId>{2, 3, 4, 5, 6}));
   EXPECT_EQ(tree.Subtree(7), (std::vector<NodeId>{7}));
   EXPECT_EQ(tree.Subtree(0).size(), tree.size());
-}
-
-TEST(BuildLabeledTreeTest, FromDocument) {
-  auto doc = Parse("<films><picture><cast><star>Stewart</star>"
-                   "<star>Kelly</star></cast><plot>spies</plot>"
-                   "</picture></films>");
-  ASSERT_TRUE(doc.ok());
-  auto tree = BuildLabeledTree(*doc);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->size(), 9u);  // 6 elements + 3 value tokens
-  EXPECT_EQ(tree->node(0).label, "films");
-  EXPECT_EQ(tree->node(0).kind, TreeNodeKind::kElement);
-}
-
-TEST(BuildLabeledTreeTest, AttributesSortedBeforeElements) {
-  auto doc = Parse("<m zeta=\"z\" alpha=\"a\"><child/></m>");
-  ASSERT_TRUE(doc.ok());
-  auto tree = BuildLabeledTree(*doc);
-  ASSERT_TRUE(tree.ok());
-  // Order: m(0), alpha(1), a(2 token), zeta(3), z(4 token), child(5).
-  EXPECT_EQ(tree->node(1).label, "alpha");
-  EXPECT_EQ(tree->node(1).kind, TreeNodeKind::kAttribute);
-  EXPECT_EQ(tree->node(2).label, "a");
-  EXPECT_EQ(tree->node(2).kind, TreeNodeKind::kToken);
-  EXPECT_EQ(tree->node(3).label, "zeta");
-  EXPECT_EQ(tree->node(5).label, "child");
-  EXPECT_EQ(tree->node(5).kind, TreeNodeKind::kElement);
-}
-
-TEST(BuildLabeledTreeTest, StructureOnlySkipsValues) {
-  auto doc = Parse("<m year=\"1954\"><name>Rear Window</name></m>");
-  ASSERT_TRUE(doc.ok());
-  TreeBuildOptions options;
-  options.include_values = false;
-  auto tree = BuildLabeledTree(*doc, options);
-  ASSERT_TRUE(tree.ok());
-  for (const TreeNode& node : tree->nodes()) {
-    EXPECT_NE(node.kind, TreeNodeKind::kToken);
-  }
-  EXPECT_EQ(tree->size(), 3u);  // m, year, name
-}
-
-TEST(BuildLabeledTreeTest, DefaultTokenizerLowercasesAndSplits) {
-  auto doc = Parse("<plot>A Wheelchair-bound PHOTOGRAPHER</plot>");
-  ASSERT_TRUE(doc.ok());
-  auto tree = BuildLabeledTree(*doc);
-  ASSERT_TRUE(tree.ok());
-  std::vector<std::string> tokens;
-  for (const TreeNode& node : tree->nodes()) {
-    if (node.kind == TreeNodeKind::kToken) tokens.push_back(node.label);
-  }
-  EXPECT_EQ(tokens, (std::vector<std::string>{"a", "wheelchair-bound",
-                                              "photographer"}));
-}
-
-TEST(BuildLabeledTreeTest, CustomCallbacks) {
-  auto doc = Parse("<A>x y</A>");
-  ASSERT_TRUE(doc.ok());
-  TreeBuildOptions options;
-  options.label_transform = [](const std::string& tag) {
-    return "tag_" + tag;
-  };
-  options.value_tokenizer = [](const std::string&) {
-    return std::vector<std::string>{"fixed"};
-  };
-  auto tree = BuildLabeledTree(*doc, options);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->node(0).label, "tag_A");
-  EXPECT_EQ(tree->node(1).label, "fixed");
-}
-
-TEST(BuildLabeledTreeTest, RejectsEmptyDocument) {
-  Document doc;
-  EXPECT_FALSE(BuildLabeledTree(doc).ok());
 }
 
 TEST(TreeStatsTest, ComputeTreeShape) {

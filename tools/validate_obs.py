@@ -141,11 +141,23 @@ def validate_metrics(args):
     documents = data.get("counters", {}).get("engine.documents", 0)
     if documents <= 0:
         errors.append("engine.documents is zero — batch recorded nothing")
-    for stage in ("stage.parse_us", "engine.job_run_us"):
+    # Every document that entered the engine is parsed and run; every
+    # one that parsed is also selected, disambiguated (context + score)
+    # and serialized, whatever the worker count or chunking.
+    succeeded = documents - data.get("counters", {}).get("engine.failures", 0)
+    for stage, expected in (
+        ("stage.parse_us", documents),
+        ("engine.job_run_us", documents),
+        ("stage.select_us", succeeded),
+        ("stage.context_us", succeeded),
+        ("stage.score_us", succeeded),
+        ("stage.serialize_us", succeeded),
+    ):
         count = data.get("histograms", {}).get(stage, {}).get("count", 0)
-        if count != documents:
+        if count != expected:
             errors.append(
-                f"{stage}: {count} samples for {documents} documents"
+                f"{stage}: {count} samples, expected {expected} "
+                f"({documents} documents)"
             )
     if errors:
         return fail(errors)
