@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string_view>
 
@@ -270,20 +271,21 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
   return targets;
 }
 
-void Disambiguator::DisambiguateTargets(
+size_t Disambiguator::DisambiguateTargets(
     const xml::LabeledTree& tree, std::span<const xml::NodeId> targets,
-    std::vector<std::pair<xml::NodeId, SenseAssignment>>* out,
-    StageTimes* times) const {
+    std::span<SenseAssignment> slots, StageTimes* times) const {
   // The clock is read only when a stage histogram will take the sum.
   if (ins_.context_us == nullptr && ins_.score_us == nullptr) {
     times = nullptr;
   }
-  out->reserve(out->size() + targets.size());
+  size_t assigned = 0;
   for (xml::NodeId id : targets) {
     auto assignment = DisambiguateNodeImpl(tree, id, times, nullptr);
     if (!assignment.ok()) continue;  // senseless labels stay untouched
-    out->emplace_back(id, std::move(assignment).value());
+    slots[static_cast<size_t>(id)] = std::move(assignment).value();
+    ++assigned;
   }
+  return assigned;
 }
 
 void Disambiguator::RecordStageTimes(const StageTimes& times) const {
@@ -305,13 +307,16 @@ Result<SemanticTree> Disambiguator::RunOnTree(xml::LabeledTree tree) const {
     }
   }
   std::vector<xml::NodeId> targets = SelectTargets(tree);
-  std::vector<std::pair<xml::NodeId, SenseAssignment>> assigned;
+  std::vector<SenseAssignment> slots(tree.size());
   StageTimes times;
-  DisambiguateTargets(tree, targets, &assigned, &times);
+  DisambiguateTargets(tree, targets, slots, &times);
   RecordStageTimes(times);
   SemanticTree result;
-  for (auto& [id, assignment] : assigned) {
-    result.assignments.emplace(id, std::move(assignment));
+  for (xml::NodeId id : targets) {
+    SenseAssignment& slot = slots[static_cast<size_t>(id)];
+    if (slot.node != xml::kInvalidNode) {
+      result.assignments.emplace(id, std::move(slot));
+    }
   }
   result.tree = std::move(tree);
   return result;
@@ -329,22 +334,30 @@ namespace {
 
 /// Opens a line at serializer depth `depth` (the indent-2 layout of
 /// xml::Serialize).
-void AppendIndent(std::string* out, size_t depth) {
+template <class Out>
+void AppendIndent(Out* out, size_t depth) {
   out->push_back('\n');
   out->append(2 * depth, ' ');
 }
 
-void AppendAttribute(std::string* out, std::string_view name,
+template <class Out>
+void AppendText(Out* out, std::string_view text) {
+  out->append(text.data(), text.size());
+}
+
+template <class Out>
+void AppendAttribute(Out* out, std::string_view name,
                      std::string_view value) {
   out->push_back(' ');
-  out->append(name);
-  out->append("=\"");
+  AppendText(out, name);
+  AppendText(out, "=\"");
   xml::AppendEscapedAttribute(out, value);
   out->push_back('"');
 }
 
 /// A concept id attribute, in std::to_string's decimal spelling.
-void AppendIdAttribute(std::string* out, std::string_view name,
+template <class Out>
+void AppendIdAttribute(Out* out, std::string_view name,
                        wordnet::ConceptId id) {
   char buffer[16];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), id);
@@ -355,7 +368,8 @@ void AppendIdAttribute(std::string* out, std::string_view name,
 
 /// The score attribute: fixed notation with 4 decimals, byte-equal to
 /// printf's "%.4f" (the buffer holds any double in fixed notation).
-void AppendScoreAttribute(std::string* out, double score) {
+template <class Out>
+void AppendScoreAttribute(Out* out, double score) {
   char buffer[std::numeric_limits<double>::max_exponent10 + 32];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), score,
                                     std::chars_format::fixed, 4);
@@ -377,76 +391,138 @@ std::string_view KindName(xml::TreeNodeKind kind) {
 }
 
 /// The opening tag of one tree node, without its closing '>' or "/>".
-void AppendNodeOpen(std::string* out, const xml::TreeNode& node,
-                    const SenseAssignment* assignment,
+template <class Out>
+void AppendNodeOpen(Out* out, const xml::TreeNode& node,
+                    const SenseAssignment& slot,
                     const wordnet::SemanticNetwork& network) {
-  out->append("<node");
+  AppendText(out, "<node");
   AppendAttribute(out, "label", node.label);
   AppendAttribute(out, "kind", KindName(node.kind));
-  if (assignment == nullptr) return;
-  const wordnet::Concept& c = network.GetConcept(assignment->sense.primary);
+  if (slot.node == xml::kInvalidNode) return;
+  const wordnet::Concept& c = network.GetConcept(slot.sense.primary);
   AppendAttribute(out, "concept", c.label());
-  AppendIdAttribute(out, "concept_id", assignment->sense.primary);
+  AppendIdAttribute(out, "concept_id", slot.sense.primary);
   AppendAttribute(out, "gloss", c.gloss);
-  if (assignment->sense.is_compound()) {
-    const wordnet::Concept& c2 =
-        network.GetConcept(assignment->sense.secondary);
+  if (slot.sense.is_compound()) {
+    const wordnet::Concept& c2 = network.GetConcept(slot.sense.secondary);
     AppendAttribute(out, "concept2", c2.label());
-    AppendIdAttribute(out, "concept2_id", assignment->sense.secondary);
+    AppendIdAttribute(out, "concept2_id", slot.sense.secondary);
   }
-  AppendScoreAttribute(out, assignment->score);
+  AppendScoreAttribute(out, slot.score);
 }
 
+/// The one semantic-XML writer. Ids are preorder ranks, so node i's
+/// bytes depend only on the node, its slot, its depth and the next
+/// node's depth: its line, then the closing lines of the ancestors
+/// that end with it. The document head belongs to node 0 and the tail
+/// to the last node, so writing [0, k) then [k, n) gives the bytes of
+/// [0, n) for every k.
+template <class Out>
+void AppendSemanticXml(const xml::LabeledTree& tree,
+                       std::span<const SenseAssignment> slots,
+                       const wordnet::SemanticNetwork& network, size_t begin,
+                       size_t end, Out* out) {
+  static constexpr std::string_view kHead =
+      "<?xml version=\"1.0\"?>\n<semantic_tree";
+  const size_t n = tree.size();
+  if (n == 0) {
+    AppendText(out, kHead);
+    AppendText(out, "/>");
+    return;
+  }
+  if (begin == 0 && end > 0) {
+    AppendText(out, kHead);
+    out->push_back('>');
+  }
+  for (size_t i = begin; i < end; ++i) {
+    const xml::TreeNode& node = tree.node(static_cast<xml::NodeId>(i));
+    const size_t depth = static_cast<size_t>(node.depth);
+    AppendIndent(out, depth + 1);
+    AppendNodeOpen(out, node, slots[i], network);
+    if (!node.children.empty()) {
+      out->push_back('>');
+      continue;
+    }
+    AppendText(out, "/>");
+    const size_t next_depth =
+        i + 1 < n
+            ? static_cast<size_t>(
+                  tree.node(static_cast<xml::NodeId>(i + 1)).depth)
+            : 0;
+    // Close the ancestors at depths depth-1 down to next_depth.
+    for (size_t open = depth; open > next_depth; --open) {
+      AppendIndent(out, open);
+      AppendText(out, "</node>");
+    }
+    if (i + 1 == n) {
+      AppendIndent(out, 0);
+      AppendText(out, "</semantic_tree>");
+    }
+  }
+}
+
+/// Counts what a write would produce.
+struct ByteCounter {
+  size_t size = 0;
+  void append(const char*, size_t count) { size += count; }
+  void append(size_t count, char) { size += count; }
+  void push_back(char) { ++size; }
+};
+
+/// Writes into a buffer already sized by ByteCounter.
+struct BufferWriter {
+  char* cursor;
+  void append(const char* data, size_t count) {
+    std::memcpy(cursor, data, count);
+    cursor += count;
+  }
+  void append(size_t count, char c) {
+    std::memset(cursor, c, count);
+    cursor += count;
+  }
+  void push_back(char c) { *cursor++ = c; }
+};
+
 }  // namespace
+
+size_t SemanticXmlRangeSize(const xml::LabeledTree& tree,
+                            std::span<const SenseAssignment> slots,
+                            const wordnet::SemanticNetwork& network,
+                            size_t begin, size_t end) {
+  ByteCounter counter;
+  AppendSemanticXml(tree, slots, network, begin, end, &counter);
+  return counter.size;
+}
+
+char* WriteSemanticXmlRange(const xml::LabeledTree& tree,
+                            std::span<const SenseAssignment> slots,
+                            const wordnet::SemanticNetwork& network,
+                            size_t begin, size_t end, char* out) {
+  BufferWriter writer{out};
+  AppendSemanticXml(tree, slots, network, begin, end, &writer);
+  return writer.cursor;
+}
+
+std::string SemanticXml(const xml::LabeledTree& tree,
+                        std::span<const SenseAssignment> slots,
+                        const wordnet::SemanticNetwork& network) {
+  std::string out;
+  out.reserve(SemanticXmlSizeEstimate(tree.size()));
+  AppendSemanticXml(tree, slots, network, 0, tree.size(), &out);
+  return out;
+}
 
 std::string SemanticTreeToXml(const SemanticTree& semantic_tree,
                               const wordnet::SemanticNetwork& network) {
   const xml::LabeledTree& tree = semantic_tree.tree;
-  std::string out = "<?xml version=\"1.0\"?>\n<semantic_tree";
-  if (tree.empty()) {
-    out.append("/>");
-    return out;
-  }
-  // One map probe per assignment up front instead of one per node.
-  std::vector<const SenseAssignment*> assigned(tree.size(), nullptr);
+  std::vector<SenseAssignment> slots(tree.size());
   for (const auto& [id, assignment] : semantic_tree.assignments) {
     if (id >= 0 && static_cast<size_t>(id) < tree.size()) {
-      assigned[static_cast<size_t>(id)] = &assignment;
+      slots[static_cast<size_t>(id)] = assignment;
+      slots[static_cast<size_t>(id)].node = id;
     }
   }
-  // One allocation for the whole document: a disambiguated node's line
-  // (indent, label, concept, gloss, score) runs ~160-190 bytes.
-  out.reserve(192 * tree.size());
-  out.push_back('>');
-  // Iterative preorder walk (giant documents nest deep): the stack
-  // holds each open node and the index of its next child to write.
-  std::vector<std::pair<xml::NodeId, size_t>> open;
-  auto write_node = [&](xml::NodeId id) {
-    const xml::TreeNode& node = tree.node(id);
-    AppendIndent(&out, open.size() + 1);
-    AppendNodeOpen(&out, node, assigned[static_cast<size_t>(id)], network);
-    if (node.children.empty()) {
-      out.append("/>");
-    } else {
-      out.push_back('>');
-      open.emplace_back(id, 0);
-    }
-  };
-  write_node(tree.root());
-  while (!open.empty()) {
-    auto& [id, next_child] = open.back();
-    const std::vector<xml::NodeId>& children = tree.node(id).children;
-    if (next_child < children.size()) {
-      write_node(children[next_child++]);
-      continue;
-    }
-    open.pop_back();
-    AppendIndent(&out, open.size() + 1);
-    out.append("</node>");
-  }
-  AppendIndent(&out, 0);
-  out.append("</semantic_tree>");
-  return out;
+  return SemanticXml(tree, slots, network);
 }
 
 namespace {

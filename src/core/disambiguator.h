@@ -225,16 +225,17 @@ class Disambiguator {
   };
 
   /// The per-target loop of RunOnTree: disambiguates `targets` in order
-  /// and appends (target, assignment) to `out` for every target whose
-  /// label has senses (senseless labels stay untouched). The engine
-  /// runs it once per chunk of a document's target list. With a
-  /// metrics registry attached, the loop's context and score time is
-  /// added to `times`; callers record the document's sum once with
-  /// RecordStageTimes().
-  void DisambiguateTargets(
-      const xml::LabeledTree& tree, std::span<const xml::NodeId> targets,
-      std::vector<std::pair<xml::NodeId, SenseAssignment>>* out,
-      StageTimes* times) const;
+  /// and stores each target whose label has senses in its slot of
+  /// `slots`, the document's dense per-node table (slot i is node i;
+  /// senseless labels leave their slot untouched). Returns how many
+  /// slots it filled. The engine runs it once per chunk of a document's
+  /// target list; chunks touch disjoint slots. With a metrics registry
+  /// attached, the loop's context and score time is added to `times`;
+  /// callers record the document's sum once with RecordStageTimes().
+  size_t DisambiguateTargets(const xml::LabeledTree& tree,
+                             std::span<const xml::NodeId> targets,
+                             std::span<SenseAssignment> slots,
+                             StageTimes* times) const;
 
   /// Records one document's StageTimes as one sample each of
   /// stage.context_us and stage.score_us; no-op without a registry.
@@ -313,6 +314,35 @@ class Disambiguator {
 /// default options, which tests/semantic_xml_oracle.h builds.
 std::string SemanticTreeToXml(const SemanticTree& semantic_tree,
                               const wordnet::SemanticNetwork& network);
+
+/// A size for SemanticXml's output on a tree of `node_count` nodes,
+/// usually somewhat above what it writes (a disambiguated node's line
+/// runs ~160-190 bytes), for allocating before the exact size is known.
+inline size_t SemanticXmlSizeEstimate(size_t node_count) {
+  return 192 * node_count + 64;
+}
+
+/// The same document from a dense per-node assignment table: slot i
+/// holds node i's assignment, or has node == kInvalidNode when node i
+/// was not disambiguated. One pass over [0, tree.size()).
+std::string SemanticXml(const xml::LabeledTree& tree,
+                        std::span<const SenseAssignment> slots,
+                        const wordnet::SemanticNetwork& network);
+
+/// Node-range pieces of SemanticXml, for writing one document from many
+/// threads: the bytes of nodes [begin, end) — the document head belongs
+/// to node 0 and its tail to the last node — so the ranges of any split
+/// of [0, n), concatenated in order, are SemanticXml's bytes.
+/// SemanticXmlRangeSize counts them; WriteSemanticXmlRange writes
+/// exactly that many at `out` and returns the end of what it wrote.
+size_t SemanticXmlRangeSize(const xml::LabeledTree& tree,
+                            std::span<const SenseAssignment> slots,
+                            const wordnet::SemanticNetwork& network,
+                            size_t begin, size_t end);
+char* WriteSemanticXmlRange(const xml::LabeledTree& tree,
+                            std::span<const SenseAssignment> slots,
+                            const wordnet::SemanticNetwork& network,
+                            size_t begin, size_t end, char* out);
 
 /// Writes a NodeAudit's fields (label, ambiguity, candidates with
 /// concept labels/glosses resolved against `network`, chosen sense,

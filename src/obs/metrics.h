@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace xsdf::obs {
@@ -18,11 +17,14 @@ namespace xsdf::obs {
 /// bump disjoint lines; snapshots fold the stripes back together.
 inline constexpr size_t kMetricStripes = 8;
 
-/// The stripe the calling thread writes to — a hash of the thread id,
-/// computed once per thread.
+/// The stripe the calling thread writes to: threads take consecutive
+/// numbers on their first record, so up to kMetricStripes threads
+/// never share a stripe (a hash of the thread id put two of four
+/// workers on one stripe more often than not).
 inline size_t MetricStripeIndex() {
+  static std::atomic<size_t> next_thread{0};
   thread_local const size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
+      next_thread.fetch_add(1, std::memory_order_relaxed);
   return stripe & (kMetricStripes - 1);
 }
 

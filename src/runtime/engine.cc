@@ -1,5 +1,7 @@
 #include "runtime/engine.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
@@ -35,35 +37,59 @@ struct DisambiguationEngine::Batch {
   }
 };
 
-/// Shared state for one document's target chunks. The owning worker
-/// keeps it on its stack frame (via shared_ptr, so late-arriving helper
-/// tickets stay safe after the owner moves on) and blocks until
-/// chunks_done reaches chunk_count. `tree` and `targets` point into the
-/// owner's frame: a worker only dereferences them while it holds a
-/// claimed chunk, every claim precedes its chunks_done increment, and
-/// the owner cannot unwind before the final increment — so the pointers
-/// are never read after they die. Workers that dequeue a ticket after
-/// all chunks are claimed observe next_chunk >= chunk_count and return
-/// without touching either pointer.
+/// Shared state for one document's chunks. The owning worker keeps it
+/// on its stack frame (via shared_ptr, so late-arriving helper tickets
+/// stay safe after the owner moves on). A document runs up to three
+/// phases over the same chunk numbers: disambiguate target chunk c into
+/// the dense slot table, size node range c of the semantic XML, and
+/// write node range c into its slice of the one output string. Node
+/// range c starts at chunk c's first target (range 0 at node 0), so the
+/// ranges tile the document in order.
+///
+/// `tree`, `targets`, `slots` and `out` point into the owner's frame: a
+/// worker only dereferences them while it holds a claimed chunk, every
+/// claim precedes its chunks_done increment, and the owner neither
+/// moves to the next phase nor unwinds before the final increment of
+/// the current one — so the pointers are never read after they die. A
+/// worker that finds a phase's chunks all claimed touches none of them.
 struct DisambiguationEngine::SubtreeWork {
+  enum Phase : uint32_t { kDisambiguate = 0, kSize = 1, kWrite = 2 };
+
   const xml::LabeledTree* tree = nullptr;
   const std::vector<xml::NodeId>* targets = nullptr;
+  std::span<core::SenseAssignment> slots;
+  std::span<char> out;  ///< the output string, sized before kWrite opens
   size_t chunk_size = 0;
   size_t chunk_count = 0;
   int owner_worker = -1;
-  /// Whether helper tickets were published (set before the first push).
+  /// Whether helper tickets were published, and whether the document
+  /// also runs kSize and kWrite (both set before the first push).
   bool published = false;
-  std::atomic<size_t> next_chunk{0};
+  bool fanned_write = false;
+  /// The open phase in the high 32 bits and its next unclaimed chunk in
+  /// the low 32: one fetch_add claims a chunk of the phase it read, so
+  /// a claim can never straddle the owner opening the next phase.
+  std::atomic<uint64_t> cursor{0};
   std::atomic<size_t> chunks_done{0};
-  /// Per-chunk (target, assignment) pairs in target order and per-chunk
-  /// stage times; the owner merges the former chunk by chunk, so the
-  /// result is independent of which worker ran what when, and sums the
-  /// latter into the document's one stage sample.
-  std::vector<std::vector<std::pair<xml::NodeId, core::SenseAssignment>>>
-      chunk_results;
-  std::vector<core::Disambiguator::StageTimes> chunk_times;
+  /// What each chunk reports, written only by the worker that claimed
+  /// it: the slots it filled and its stage times (the owner sums both
+  /// for the document), then its range's byte count, which the owner
+  /// turns into the range's offset in `out`.
+  struct ChunkResult {
+    size_t assigned = 0;
+    core::Disambiguator::StageTimes times;
+    size_t bytes = 0;
+  };
+  std::vector<ChunkResult> chunks;
   std::mutex mu;
-  std::condition_variable done_cv;
+  std::condition_variable cv;
+
+  /// First node of chunk c's range; chunk_count gives the node count.
+  size_t RangeBegin(size_t c) const {
+    if (c == 0) return 0;
+    if (c == chunk_count) return tree->size();
+    return static_cast<size_t>((*targets)[c * chunk_size]);
+  }
 };
 
 DisambiguationEngine::DisambiguationEngine(
@@ -143,7 +169,7 @@ void DisambiguationEngine::WorkerLoop(int worker_index) {
       // bookkeeping below — the owner's dequeue already accounted for
       // the document (engine.documents must equal stage.parse_us
       // samples, the invariant tools/validate_obs.py checks).
-      RunSubtreeChunks(*item->subtree, disambiguator, worker_index);
+      HelpWithSubtree(*item->subtree, disambiguator, worker_index);
       subtree_tickets_.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
@@ -243,118 +269,184 @@ DocumentResult DisambiguationEngine::Process(
     result.error = tree.status().ToString();
     return result;
   }
-  auto semantic_tree = [&] {
-    obs::RequestSpan rspan(job.rtrace, "disambiguate");
-    return DisambiguateTree(disambiguator, std::move(tree).value(),
-                            worker_index);
-  }();
-  if (!semantic_tree.ok()) {
-    result.error = semantic_tree.status().ToString();
-    return result;
-  }
-  result.ok = true;
-  result.node_count = semantic_tree->tree.size();
-  result.assignment_count = semantic_tree->assignments.size();
-  {
-    obs::RequestSpan rspan(job.rtrace, "serialize");
-    obs::StageTimer timer(ins_.serialize_us, trace_, "serialize");
-    result.semantic_xml = core::SemanticTreeToXml(*semantic_tree, *network_);
-  }
+  DisambiguateTree(disambiguator, *tree, job, worker_index, &result);
   return result;
 }
 
-Result<core::SemanticTree> DisambiguationEngine::DisambiguateTree(
-    const core::Disambiguator& disambiguator, xml::LabeledTree tree,
-    int worker_index) {
-  std::vector<xml::NodeId> targets = disambiguator.SelectTargets(tree);
-  const size_t chunk_size =
-      std::max<size_t>(options_.subtree_chunk_targets, 1);
+void DisambiguationEngine::DisambiguateTree(
+    const core::Disambiguator& disambiguator, const xml::LabeledTree& tree,
+    const DocumentJob& job, int worker_index, DocumentResult* result) {
   auto work = std::make_shared<SubtreeWork>();
-  work->tree = &tree;
-  work->targets = &targets;
-  work->chunk_size = chunk_size;
-  work->chunk_count = (targets.size() + chunk_size - 1) / chunk_size;
-  work->owner_worker = worker_index;
-  work->chunk_results.resize(work->chunk_count);
-  work->chunk_times.resize(work->chunk_count);
-  // Helpers need another worker, and too few targets cannot amortize
-  // the ticket overhead.
-  work->published =
-      workers_.size() >= 2 &&
-      targets.size() >= std::max(options_.subtree_min_targets, 2 * chunk_size);
-  if (work->published) {
-    subtree_parallel_docs_.fetch_add(1, std::memory_order_relaxed);
-    // At most chunk_count - 1 helpers can find work (the owner drains
-    // too). TryPush only: when the queue is full the owner simply runs
-    // more chunks itself — an owner never blocks on its own fan-out, so
-    // every document always makes progress even with zero helpers.
-    const size_t helpers =
-        std::min(workers_.size() - 1, work->chunk_count - 1);
-    for (size_t i = 0; i < helpers; ++i) {
-      WorkItem ticket;
-      ticket.subtree = work;
-      subtree_tickets_.fetch_add(1, std::memory_order_relaxed);
-      if (!queue_.TryPush(std::move(ticket))) {
-        subtree_tickets_.fetch_sub(1, std::memory_order_relaxed);
-        break;
+  std::vector<xml::NodeId> targets;
+  std::vector<core::SenseAssignment> slots;
+  {
+    obs::RequestSpan rspan(job.rtrace, "disambiguate");
+    targets = disambiguator.SelectTargets(tree);
+    slots.resize(tree.size());
+    const size_t chunk_size =
+        std::max<size_t>(options_.subtree_chunk_targets, 1);
+    work->tree = &tree;
+    work->targets = &targets;
+    work->slots = slots;
+    work->chunk_size = chunk_size;
+    work->chunk_count = (targets.size() + chunk_size - 1) / chunk_size;
+    work->owner_worker = worker_index;
+    work->chunks.resize(work->chunk_count);
+    // Helpers need another worker, and too few targets cannot amortize
+    // the ticket overhead.
+    work->published = workers_.size() >= 2 &&
+                      targets.size() >= std::max(options_.subtree_min_targets,
+                                                 2 * chunk_size);
+    // Fanning the write out pays only for megabytes of output: a
+    // published corpus document's few hundred nodes write in tens of
+    // microseconds, less than two more phase hand-offs cost, and its
+    // helpers have other documents to run.
+    work->fanned_write =
+        work->published &&
+        core::SemanticXmlSizeEstimate(tree.size()) >= (size_t{1} << 20);
+    if (work->published) {
+      subtree_parallel_docs_.fetch_add(1, std::memory_order_relaxed);
+      // At most chunk_count - 1 helpers can find work (the owner drains
+      // too). TryPush only: when the queue is full the owner simply runs
+      // more chunks itself — an owner never blocks on its own fan-out,
+      // so every document always makes progress even with zero helpers.
+      const size_t helpers =
+          std::min(workers_.size() - 1, work->chunk_count - 1);
+      for (size_t i = 0; i < helpers; ++i) {
+        WorkItem ticket;
+        ticket.subtree = work;
+        subtree_tickets_.fetch_add(1, std::memory_order_relaxed);
+        if (!queue_.TryPush(std::move(ticket))) {
+          subtree_tickets_.fetch_sub(1, std::memory_order_relaxed);
+          break;
+        }
       }
     }
-  }
-  RunSubtreeChunks(*work, disambiguator, worker_index);
-  {
-    std::unique_lock<std::mutex> lock(work->mu);
-    work->done_cv.wait(lock, [&] {
-      return work->chunks_done.load(std::memory_order_acquire) ==
-             work->chunk_count;
-    });
-  }
-  // Merge in chunk (= target) order, and record the document's context
-  // and score time once, summed over its chunks.
-  core::SemanticTree result;
-  core::Disambiguator::StageTimes times;
-  for (size_t c = 0; c < work->chunk_count; ++c) {
-    for (auto& entry : work->chunk_results[c]) {
-      result.assignments.emplace(entry.first, std::move(entry.second));
+    FinishPhase(*work, disambiguator, worker_index);
+    // Record the document's context and score time once, summed over
+    // its chunks.
+    core::Disambiguator::StageTimes times;
+    for (const SubtreeWork::ChunkResult& chunk : work->chunks) {
+      result->assignment_count += chunk.assigned;
+      times.context_ns += chunk.times.context_ns;
+      times.score_ns += chunk.times.score_ns;
     }
-    times.context_ns += work->chunk_times[c].context_ns;
-    times.score_ns += work->chunk_times[c].score_ns;
+    disambiguator.RecordStageTimes(times);
   }
-  disambiguator.RecordStageTimes(times);
-  result.tree = std::move(tree);
-  return result;
+  result->ok = true;
+  result->node_count = tree.size();
+  // One sample per document: the owner's wall time, fanned or not.
+  obs::RequestSpan rspan(job.rtrace, "serialize");
+  obs::StageTimer timer(ins_.serialize_us, trace_, "serialize");
+  if (!work->fanned_write) {
+    result->semantic_xml = core::SemanticXml(tree, slots, *network_);
+    return;
+  }
+  // Fanned: count every node range on the tickets, then write every
+  // range into its own slice of the one output string. Page faults on
+  // megabytes of fresh memory cost milliseconds, so the owner takes
+  // them while the helpers count: it zero-fills the string to the size
+  // estimate, then trims it (or, past the estimate, grows it) to the
+  // exact total.
+  OpenPhase(*work, SubtreeWork::kSize);
+  result->semantic_xml.resize(core::SemanticXmlSizeEstimate(tree.size()));
+  FinishPhase(*work, disambiguator, worker_index);
+  size_t total = 0;
+  for (SubtreeWork::ChunkResult& chunk : work->chunks) {
+    const size_t offset = total;
+    total += chunk.bytes;
+    chunk.bytes = offset;
+  }
+  result->semantic_xml.resize(total);
+  work->out = result->semantic_xml;
+  OpenPhase(*work, SubtreeWork::kWrite);
+  FinishPhase(*work, disambiguator, worker_index);
 }
 
-void DisambiguationEngine::RunSubtreeChunks(
+void DisambiguationEngine::OpenPhase(SubtreeWork& work, uint32_t phase) {
+  // The previous phase is complete, so nobody touches chunks_done until
+  // a chunk of this one is claimed.
+  work.chunks_done.store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(work.mu);
+    work.cursor.store(uint64_t{phase} << 32, std::memory_order_release);
+  }
+  work.cv.notify_all();
+}
+
+void DisambiguationEngine::FinishPhase(
+    SubtreeWork& work, const core::Disambiguator& disambiguator,
+    int worker_index) {
+  RunChunks(work, disambiguator, worker_index);
+  std::unique_lock<std::mutex> lock(work.mu);
+  work.cv.wait(lock, [&] {
+    return work.chunks_done.load(std::memory_order_acquire) ==
+           work.chunk_count;
+  });
+}
+
+void DisambiguationEngine::HelpWithSubtree(
+    SubtreeWork& work, const core::Disambiguator& disambiguator,
+    int worker_index) {
+  for (;;) {
+    const uint32_t phase = RunChunks(work, disambiguator, worker_index);
+    if (phase == SubtreeWork::kWrite || !work.fanned_write) return;
+    // Park until the owner opens the next phase; it always does, since a
+    // fanned write runs all three.
+    std::unique_lock<std::mutex> lock(work.mu);
+    work.cv.wait(lock, [&] {
+      return (work.cursor.load(std::memory_order_acquire) >> 32) > phase;
+    });
+  }
+}
+
+uint32_t DisambiguationEngine::RunChunks(
     SubtreeWork& work, const core::Disambiguator& disambiguator,
     int worker_index) {
   while (true) {
-    const size_t chunk =
-        work.next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (chunk >= work.chunk_count) return;
-    if (worker_index != work.owner_worker) {
-      subtree_steals_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t claim =
+        work.cursor.fetch_add(1, std::memory_order_acq_rel);
+    const auto phase = static_cast<uint32_t>(claim >> 32);
+    const size_t chunk = static_cast<size_t>(claim & 0xffffffffu);
+    if (chunk >= work.chunk_count) return phase;
+    if (phase == SubtreeWork::kDisambiguate) {
+      if (worker_index != work.owner_worker) {
+        subtree_steals_.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Container span for the per-node spans below: on a stealing
+      // worker's tid there is no enclosing "document" span, so the
+      // trace validator accepts "subtree_chunk" as the alternative
+      // container. Chunks of a document nobody can steal from need
+      // none.
+      obs::TraceSession* chunk_trace = work.published ? trace_ : nullptr;
+      obs::Span chunk_span(
+          chunk_trace, "subtree_chunk",
+          chunk_trace != nullptr
+              ? StrFormat("chunk %zu/%zu", chunk, work.chunk_count)
+              : std::string());
+      const size_t begin = chunk * work.chunk_size;
+      const size_t end =
+          std::min(begin + work.chunk_size, work.targets->size());
+      // DisambiguateNode is a pure function of (tree, id) for
+      // identically-configured disambiguators, so running this chunk
+      // under a helper's Disambiguator yields the exact bytes the owner
+      // would have produced.
+      work.chunks[chunk].assigned = disambiguator.DisambiguateTargets(
+          *work.tree,
+          std::span<const xml::NodeId>(work.targets->data() + begin,
+                                       end - begin),
+          work.slots, &work.chunks[chunk].times);
+    } else if (phase == SubtreeWork::kSize) {
+      work.chunks[chunk].bytes = core::SemanticXmlRangeSize(
+          *work.tree, work.slots, *network_, work.RangeBegin(chunk),
+          work.RangeBegin(chunk + 1));
+    } else {
+      // `bytes` now holds the range's offset into `out`.
+      core::WriteSemanticXmlRange(
+          *work.tree, work.slots, *network_, work.RangeBegin(chunk),
+          work.RangeBegin(chunk + 1),
+          work.out.data() + work.chunks[chunk].bytes);
     }
-    // Container span for the per-node spans below: on a stealing
-    // worker's tid there is no enclosing "document" span, so the trace
-    // validator accepts "subtree_chunk" as the alternative container.
-    // Chunks of a document nobody can steal from need none.
-    obs::TraceSession* chunk_trace = work.published ? trace_ : nullptr;
-    obs::Span chunk_span(
-        chunk_trace, "subtree_chunk",
-        chunk_trace != nullptr
-            ? StrFormat("chunk %zu/%zu", chunk, work.chunk_count)
-            : std::string());
-    const size_t begin = chunk * work.chunk_size;
-    const size_t end = std::min(begin + work.chunk_size, work.targets->size());
-    // DisambiguateNode is a pure function of (tree, id) for
-    // identically-configured disambiguators, so running this chunk
-    // under a helper's Disambiguator yields the exact bytes the owner
-    // would have produced.
-    disambiguator.DisambiguateTargets(
-        *work.tree,
-        std::span<const xml::NodeId>(work.targets->data() + begin,
-                                     end - begin),
-        &work.chunk_results[chunk], &work.chunk_times[chunk]);
     const size_t done =
         work.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (done == work.chunk_count) {
@@ -362,7 +454,7 @@ void DisambiguationEngine::RunSubtreeChunks(
       // moment it observes the final count, and pairing notify with mu
       // closes the missed-wakeup window against its predicate check.
       std::lock_guard<std::mutex> lock(work.mu);
-      work.done_cv.notify_all();
+      work.cv.notify_all();
     }
   }
 }
@@ -466,6 +558,12 @@ void DisambiguationEngine::PublishStatsToMetrics() {
   m->GetGauge("engine.subtree_queue_depth")
       ->Set(static_cast<int64_t>(
           subtree_tickets_.load(std::memory_order_relaxed)));
+  // The process's memory high-water mark, read from the process itself.
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    m->GetGauge("process.peak_rss_bytes")
+        ->Set(static_cast<int64_t>(usage.ru_maxrss) * 1024);  // KiB
+  }
   // Label-space occupancy: how much of the id universe the corpus
   // touched beyond the network's own vocabulary.
   m->GetGauge("label_space.network_size")

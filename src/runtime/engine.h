@@ -74,11 +74,14 @@ struct EngineOptions {
   /// Bounded MPMC job-queue capacity; producers block when full.
   size_t queue_capacity = 64;
 
-  /// Shared sharded LRU fronting sim::CombinedMeasure, keyed on
-  /// (concept pair, measure weights). Off = each worker keeps the
+  /// Shared seqlock table fronting sim::CombinedMeasure, keyed on
+  /// (concept pair, measure composition). Off = each worker keeps the
   /// measure's private unbounded memo (the pre-runtime behavior).
   bool enable_similarity_cache = true;
   size_t similarity_cache_capacity = 1 << 16;
+  /// Hit/miss counter stripes, one per thread: each thread counts on
+  /// its own stripe, so up to this many workers never write a shared
+  /// counter line on a hit. Data placement does not depend on it.
   size_t similarity_cache_shards = 16;
 
   /// Shared sense-inventory cache (label -> candidate senses).
@@ -210,20 +213,37 @@ class DisambiguationEngine {
                          core::TreeBuildCache& tree_cache,
                          const DocumentJob& job, int worker_index);
 
-  /// Selection + per-target disambiguation for one document: target
-  /// chunks the owner drains, stolen by helpers when the target list is
-  /// big enough, then the merge in target order. Byte-identical to
-  /// RunOnTree, and records the same stage samples.
-  Result<core::SemanticTree> DisambiguateTree(
-      const core::Disambiguator& disambiguator, xml::LabeledTree tree,
-      int worker_index);
+  /// Selection, per-target disambiguation and serialization of one
+  /// parsed document into `result`. Target chunks fill a dense slot
+  /// table; the owner drains them, helpers steal them when the target
+  /// list is big enough, and such a fanned document also sizes and
+  /// writes its semantic XML by node range on the same tickets.
+  /// Byte-identical to RunOnTree + SemanticTreeToXml, with one sample
+  /// per stage per document.
+  void DisambiguateTree(const core::Disambiguator& disambiguator,
+                        const xml::LabeledTree& tree, const DocumentJob& job,
+                        int worker_index, DocumentResult* result);
 
-  /// Claims and runs chunks of `work` until none remain. Called by the
-  /// owning worker (which then waits for stolen chunks to finish) and
-  /// by any worker that dequeues one of the helper tickets.
-  void RunSubtreeChunks(SubtreeWork& work,
-                        const core::Disambiguator& disambiguator,
-                        int worker_index);
+  /// Owner side of a phase of `work`: OpenPhase starts it once the
+  /// previous one is done (waking parked helpers); FinishPhase runs its
+  /// chunks alongside the helpers and waits until all are done.
+  void OpenPhase(SubtreeWork& work, uint32_t phase);
+  void FinishPhase(SubtreeWork& work,
+                   const core::Disambiguator& disambiguator,
+                   int worker_index);
+
+  /// Helper side: runs chunks of every phase of `work` that still has
+  /// unclaimed ones, parking between phases; returns after the last
+  /// phase the document runs.
+  void HelpWithSubtree(SubtreeWork& work,
+                       const core::Disambiguator& disambiguator,
+                       int worker_index);
+
+  /// Claims and runs chunks of the open phase until none remain, and
+  /// returns that phase.
+  uint32_t RunChunks(SubtreeWork& work,
+                     const core::Disambiguator& disambiguator,
+                     int worker_index);
 
   /// Raises the lifetime front-end scaffolding high-water mark.
   void NoteFrontendPeak(uint64_t bytes);

@@ -27,6 +27,15 @@ double BitsToDouble(uint64_t bits) {
   return value;
 }
 
+/// A small process-wide number per thread, handed out on the thread's
+/// first counter update; the caches map it onto their stripes.
+size_t ThreadSlot() {
+  static std::atomic<size_t> next_slot{0};
+  thread_local const size_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed);
+  return slot;
+}
+
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -68,8 +77,20 @@ uint64_t SimilarityCache::MixKey(uint64_t pair_key) const {
   return Mix64(pair_key) ^ config_fp_;
 }
 
+SimilarityCache::Stripe& SimilarityCache::ThreadStripe() {
+  return stripes_[ThreadSlot() & stripe_mask_];
+}
+
 bool SimilarityCache::Lookup(uint64_t pair_key, double* value) {
-  return LookupMixed(MixKey(pair_key), value);
+  uint64_t retries = 0;
+  const bool found = Probe(MixKey(pair_key), value, &retries);
+  Stripe& stripe = ThreadStripe();
+  if (retries != 0) {
+    stripe.read_retries.fetch_add(retries, std::memory_order_relaxed);
+  }
+  (found ? stripe.hits : stripe.misses)
+      .fetch_add(1, std::memory_order_relaxed);
+  return found;
 }
 
 void SimilarityCache::LookupBatch(const uint64_t* keys, size_t count,
@@ -85,25 +106,35 @@ void SimilarityCache::LookupBatch(const uint64_t* keys, size_t count,
     mixed[i] = key;
     __builtin_prefetch(&sets_[static_cast<size_t>(key) & set_mask_]);
   }
-  // Pass 2: the exact Lookup() probe per key, in order — identical
-  // results and identical per-key stripe accounting.
+  // Pass 2: the exact Lookup() probe per key, in order, counted
+  // locally and flushed once for the whole batch.
+  uint64_t hits = 0;
+  uint64_t retries = 0;
   for (size_t i = 0; i < count; ++i) {
-    out_found[i] = LookupMixed(mixed[i], &out_values[i]) ? 1 : 0;
+    const bool found = Probe(mixed[i], &out_values[i], &retries);
+    out_found[i] = found ? 1 : 0;
+    hits += found ? 1 : 0;
+  }
+  Stripe& stripe = ThreadStripe();
+  if (hits != 0) stripe.hits.fetch_add(hits, std::memory_order_relaxed);
+  if (hits != count) {
+    stripe.misses.fetch_add(count - hits, std::memory_order_relaxed);
+  }
+  if (retries != 0) {
+    stripe.read_retries.fetch_add(retries, std::memory_order_relaxed);
   }
 }
 
-bool SimilarityCache::LookupMixed(uint64_t key, double* value) {
-  const size_t set_index = static_cast<size_t>(key) & set_mask_;
-  Set& set = sets_[set_index];
+bool SimilarityCache::Probe(uint64_t key, double* value,
+                            uint64_t* retries) const {
+  const Set& set = sets_[static_cast<size_t>(key) & set_mask_];
   // Seqlock read: probe the ways with relaxed loads, then confirm no
   // writer overlapped. Retries are rare (writes are <1% of traffic).
-  bool found = false;
-  uint64_t bits = 0;
-  uint64_t retries = 0;  // flushed as one fetch_add below
   for (;;) {
     uint64_t before = set.seq.load(std::memory_order_acquire);
     if ((before & 1) == 0) {
-      found = false;
+      bool found = false;
+      uint64_t bits = 0;
       for (size_t w = 0; w < kWays; ++w) {
         if (set.key[w].load(std::memory_order_relaxed) == key) {
           bits = set.value[w].load(std::memory_order_relaxed);
@@ -112,21 +143,13 @@ bool SimilarityCache::LookupMixed(uint64_t key, double* value) {
         }
       }
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (set.seq.load(std::memory_order_relaxed) == before) break;
+      if (set.seq.load(std::memory_order_relaxed) == before) {
+        if (found) *value = BitsToDouble(bits);
+        return found;
+      }
     }
-    ++retries;
+    ++*retries;
   }
-  Stripe& stripe = StripeFor(set_index);
-  if (retries != 0) {
-    stripe.read_retries.fetch_add(retries, std::memory_order_relaxed);
-  }
-  if (!found) {
-    stripe.misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  stripe.hits.fetch_add(1, std::memory_order_relaxed);
-  *value = BitsToDouble(bits);
-  return true;
 }
 
 void SimilarityCache::Insert(uint64_t pair_key, double value) {
@@ -157,7 +180,7 @@ void SimilarityCache::Insert(uint64_t pair_key, double value) {
     }
     if (k == 0 && empty == kWays) empty = w;
   }
-  Stripe& stripe = StripeFor(set_index);
+  Stripe& stripe = ThreadStripe();
   if (collisions != 0) {
     stripe.write_collisions.fetch_add(collisions, std::memory_order_relaxed);
   }

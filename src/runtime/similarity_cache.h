@@ -30,12 +30,15 @@ namespace xsdf::runtime {
 /// Layout is a fixed-capacity 4-way set-associative table whose hit
 /// path takes no lock: readers probe the set's four ways and validate
 /// against a per-set sequence counter (seqlock), so a hit costs a few
-/// loads plus one striped counter increment — cheaper than the private
-/// per-worker memo it replaces, which is what lets the shared cache
-/// beat cache-off even at one thread. Writers (misses are <1% of
+/// loads plus one relaxed increment of the calling thread's own
+/// counter stripe. The stripe follows the thread, not the set: a
+/// stripe picked by set index would make every worker write the same
+/// few counter lines on every hit, and those shared writes — not the
+/// probe — capped multi-worker throughput. Writers (misses are <1% of
 /// steady-state traffic) serialize per set through the sequence
 /// counter; a full set overwrites a deterministic victim way.
-/// Hit/miss/eviction counters are exact (striped relaxed atomics).
+/// Hit/miss/eviction counters are exact: threads beyond the stripe
+/// count share stripes through relaxed atomic adds.
 ///
 /// Concurrent Insert order is racy across workers, but cached values
 /// are pure functions of the key, so any interleaving stores the same
@@ -43,8 +46,10 @@ namespace xsdf::runtime {
 class SimilarityCache : public sim::SimilarityCacheHook {
  public:
   /// `capacity` is rounded up to a power-of-two slot count (>= 64).
-  /// `stripe_count` stripes the statistics counters (rounded up to a
-  /// power of two); it no longer affects data placement.
+  /// `stripe_count` is the number of statistics counter stripes
+  /// (rounded up to a power of two): each thread counts on the stripe
+  /// its process-wide thread slot maps to, so up to that many threads
+  /// never share a counter line. It does not affect data placement.
   /// `config_fingerprint` is the MeasureConfig::Fingerprint() of the
   /// composition whose values this cache stores.
   SimilarityCache(size_t capacity, size_t stripe_count,
@@ -61,8 +66,8 @@ class SimilarityCache : public sim::SimilarityCacheHook {
   /// Pipelined batch probe: all keys are premixed and their sets
   /// prefetched in one pass before any is probed, hiding the
   /// cache-miss latency of the random set walk behind the whole batch.
-  /// Per-key results and hit/miss/retry accounting are exactly those
-  /// of a Lookup() loop.
+  /// Per-key results and hit/miss/retry totals are exactly those of a
+  /// Lookup() loop; the batch counts locally and flushes once.
   void LookupBatch(const uint64_t* keys, size_t count, double* out_values,
                    uint8_t* out_found) override;
 
@@ -109,12 +114,12 @@ class SimilarityCache : public sim::SimilarityCacheHook {
   };
 
   uint64_t MixKey(uint64_t pair_key) const;
-  /// The seqlock probe + stats update shared by Lookup() and
-  /// LookupBatch(); `key` is already mixed.
-  bool LookupMixed(uint64_t key, double* value);
-  Stripe& StripeFor(size_t set_index) {
-    return stripes_[set_index & stripe_mask_];
-  }
+  /// The seqlock probe shared by Lookup() and LookupBatch(); `key` is
+  /// already mixed. Adds the reads it had to redo to `*retries` and
+  /// touches no counter.
+  bool Probe(uint64_t key, double* value, uint64_t* retries) const;
+  /// The calling thread's counter stripe.
+  Stripe& ThreadStripe();
 
   uint64_t config_fp_;
   size_t set_mask_ = 0;

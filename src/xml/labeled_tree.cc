@@ -30,6 +30,20 @@ NodeId LabeledTree::AddNode(NodeId parent, std::string label,
     XSDF_DCHECK(false, "parent id out of range");
     return kInvalidNode;
   }
+  if (parent != kInvalidNode) {
+    // Preorder: the parent is the last node or one of its ancestors.
+    // The walk climbs only past nodes this call closes, so a whole
+    // build costs O(nodes).
+    NodeId open = static_cast<NodeId>(nodes_.size()) - 1;
+    const int parent_depth = nodes_[static_cast<size_t>(parent)].depth;
+    while (nodes_[static_cast<size_t>(open)].depth > parent_depth) {
+      open = nodes_[static_cast<size_t>(open)].parent;
+    }
+    if (open != parent) {
+      XSDF_DCHECK(false, "nodes must be added in preorder");
+      return kInvalidNode;
+    }
+  }
   TreeNode node;
   node.id = static_cast<NodeId>(nodes_.size());
   node.label = std::move(label);

@@ -1,6 +1,37 @@
 #include "xml/serializer.h"
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 namespace xsdf::xml {
+
+size_t FindEscapable(std::string_view text, size_t from, bool quote) {
+  const char* data = text.data();
+  const size_t size = text.size();
+  size_t i = from;
+#ifdef __SSE2__
+  const __m128i lt = _mm_set1_epi8('<');
+  const __m128i gt = _mm_set1_epi8('>');
+  const __m128i amp = _mm_set1_epi8('&');
+  const __m128i quot = _mm_set1_epi8(quote ? '"' : '<');
+  for (; i + 16 <= size; i += 16) {
+    const __m128i block =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+    const __m128i hits = _mm_or_si128(
+        _mm_or_si128(_mm_cmpeq_epi8(block, lt), _mm_cmpeq_epi8(block, gt)),
+        _mm_or_si128(_mm_cmpeq_epi8(block, amp),
+                     _mm_cmpeq_epi8(block, quot)));
+    const int mask = _mm_movemask_epi8(hits);
+    if (mask != 0) return i + static_cast<size_t>(__builtin_ctz(mask));
+  }
+#endif
+  for (; i < size; ++i) {
+    const char c = data[i];
+    if (c == '<' || c == '>' || c == '&' || (quote && c == '"')) return i;
+  }
+  return size;
+}
 
 namespace {
 
@@ -8,37 +39,6 @@ void AppendIndent(std::string* out, int indent, int depth) {
   if (indent <= 0) return;
   out->push_back('\n');
   out->append(static_cast<size_t>(indent) * static_cast<size_t>(depth), ' ');
-}
-
-/// Appends `text` with '<', '>' and '&' (and '"' when kQuote)
-/// replaced by entity references.
-template <bool kQuote>
-void AppendEscaped(std::string* out, std::string_view text) {
-  size_t run = 0;  // start of the pending unescaped run
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char* entity;
-    switch (text[i]) {
-      case '<':
-        entity = "&lt;";
-        break;
-      case '>':
-        entity = "&gt;";
-        break;
-      case '&':
-        entity = "&amp;";
-        break;
-      case '"':
-        if (!kQuote) continue;
-        entity = "&quot;";
-        break;
-      default:
-        continue;
-    }
-    out->append(text.data() + run, i - run);
-    out->append(entity);
-    run = i + 1;
-  }
-  out->append(text.data() + run, text.size() - run);
 }
 
 /// True when the element's content is entirely text (so it is rendered
@@ -110,10 +110,6 @@ void SerializeNode(const Node& node, const SerializeOptions& options,
 }
 
 }  // namespace
-
-void AppendEscapedAttribute(std::string* out, std::string_view value) {
-  AppendEscaped<true>(out, value);
-}
 
 std::string Serialize(const Node& node, const SerializeOptions& options) {
   std::string out;

@@ -413,9 +413,102 @@ TEST(SemanticTreeXmlTest, WriterMatchesOracleOnEmptyAndSingleNodeTrees) {
   ExpectWriterMatchesOracle(single, "single assigned node");
 }
 
+/// The bytes WriteSemanticXmlRange writes for nodes [begin, end), in a
+/// buffer of exactly SemanticXmlRangeSize bytes.
+std::string RangeBytes(const xml::LabeledTree& tree,
+                       const std::vector<SenseAssignment>& slots,
+                       size_t begin, size_t end) {
+  std::string bytes(SemanticXmlRangeSize(tree, slots, Network(), begin, end),
+                    '\0');
+  const char* written = WriteSemanticXmlRange(tree, slots, Network(), begin,
+                                              end, bytes.data());
+  EXPECT_EQ(written, bytes.data() + bytes.size())
+      << "range [" << begin << ", " << end << ") wrote other than it counted";
+  return bytes;
+}
+
+/// Every two- and three-way split of [0, n) written range by range
+/// concatenates to the one-pass document — the three-way splits put a
+/// one-node range at every position.
+void ExpectRangesTileDocument(const xml::LabeledTree& tree,
+                              const std::vector<SenseAssignment>& slots) {
+  const std::string whole = SemanticXml(tree, slots, Network());
+  const size_t n = tree.size();
+  for (size_t k = 0; k <= n; ++k) {
+    EXPECT_EQ(RangeBytes(tree, slots, 0, k) + RangeBytes(tree, slots, k, n),
+              whole)
+        << "split at " << k;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(RangeBytes(tree, slots, 0, i) +
+                  RangeBytes(tree, slots, i, i + 1) +
+                  RangeBytes(tree, slots, i + 1, n),
+              whole)
+        << "one-node range at " << i;
+  }
+}
+
+TEST(SemanticTreeXmlTest, NodeRangesTileTheDocument) {
+  // Deep and wide: a chain four levels down whose leaf closes three
+  // ancestors at once, then a node with several leaf children, then a
+  // leaf directly under the root.
+  SemanticTree semantic_tree;
+  xml::LabeledTree& tree = semantic_tree.tree;
+  const xml::NodeId root =
+      tree.AddNode(xml::kInvalidNode, "films", xml::TreeNodeKind::kElement);
+  xml::NodeId chain = root;
+  for (const char* label : {"picture", "cast", "star"}) {
+    chain = tree.AddNode(chain, label, xml::TreeNodeKind::kElement);
+  }
+  const xml::NodeId deep_leaf =
+      tree.AddNode(chain, "kelly", xml::TreeNodeKind::kToken);
+  const xml::NodeId wide =
+      tree.AddNode(root, "genre", xml::TreeNodeKind::kAttribute);
+  for (const char* label : {"drama", "a&b", "say \"hi\""}) {
+    tree.AddNode(wide, label, xml::TreeNodeKind::kToken);
+  }
+  tree.AddNode(root, "plot", xml::TreeNodeKind::kElement);
+  ASSERT_EQ(tree.size(), 10u);
+  ASSERT_EQ(tree.node(deep_leaf + 1).depth, 1);  // closes three levels
+  const wordnet::ConceptId star = Network().Senses("star").front();
+  const wordnet::ConceptId movie = Network().Senses("movie").front();
+  for (xml::NodeId id : {root, chain, deep_leaf, wide}) {
+    SenseAssignment assignment;
+    assignment.node = id;
+    assignment.sense.primary = star;
+    if (id == wide) assignment.sense.secondary = movie;
+    assignment.score = 0.125 * id;
+    semantic_tree.assignments.emplace(id, assignment);
+  }
+  std::vector<SenseAssignment> slots(tree.size());
+  for (const auto& [id, assignment] : semantic_tree.assignments) {
+    slots[static_cast<size_t>(id)] = assignment;
+  }
+  EXPECT_EQ(SemanticXml(tree, slots, Network()),
+            SemanticTreeToXml(semantic_tree, Network()));
+  ExpectWriterMatchesOracle(semantic_tree, "deep and wide tree");
+  ExpectRangesTileDocument(tree, slots);
+
+  // A root-only tree: its one node carries both the head and the tail.
+  xml::LabeledTree root_only;
+  root_only.AddNode(xml::kInvalidNode, "star", xml::TreeNodeKind::kElement);
+  std::vector<SenseAssignment> root_slots(1);
+  ExpectRangesTileDocument(root_only, root_slots);
+  root_slots[0].node = 0;
+  root_slots[0].sense.primary = star;
+  ExpectRangesTileDocument(root_only, root_slots);
+
+  // The empty tree's document comes from its only range, [0, 0).
+  EXPECT_EQ(RangeBytes(xml::LabeledTree(), {}, 0, 0),
+            SemanticTreeToXml(SemanticTree{}, Network()));
+}
+
 /// A hand-built three-level tree over `labels` (element root, attribute
 /// child, token leaves under both), without assignments: every node
 /// kind and both closing forms ("/>" and "</node>") reach the writer.
+/// Nodes are added in preorder, as LabeledTree requires: the even-index
+/// tokens under the attribute first, then the odd-index ones under the
+/// root.
 SemanticTree HandBuiltTree(const std::vector<std::string>& labels) {
   SemanticTree semantic_tree;
   xml::LabeledTree& tree = semantic_tree.tree;
@@ -423,10 +516,15 @@ SemanticTree HandBuiltTree(const std::vector<std::string>& labels) {
                                   xml::TreeNodeKind::kElement);
   xml::NodeId inner = tree.AddNode(root, labels[1],
                                    xml::TreeNodeKind::kAttribute);
-  for (size_t i = 2; i < labels.size(); ++i) {
-    tree.AddNode(i % 2 == 0 ? inner : root, labels[i],
-                 xml::TreeNodeKind::kToken);
+  for (size_t parity : {0, 1}) {
+    for (size_t i = 2; i < labels.size(); ++i) {
+      if (i % 2 != parity) continue;
+      EXPECT_NE(tree.AddNode(parity == 0 ? inner : root, labels[i],
+                             xml::TreeNodeKind::kToken),
+                xml::kInvalidNode);
+    }
   }
+  EXPECT_EQ(tree.size(), labels.size());
   return semantic_tree;
 }
 

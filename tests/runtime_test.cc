@@ -621,6 +621,61 @@ TEST(SimilarityCacheTest, UncontendedTrafficReportsZeroContention) {
   EXPECT_EQ(stats.write_collisions, 0u);
 }
 
+TEST(SimilarityCacheTest, StatsStayExactWithMoreThreadsThanStripes) {
+  // Eight threads count on two stripes, so every stripe takes
+  // concurrent adds from several threads. Each lookup must still be
+  // counted once, and as a hit exactly when it returned one — through
+  // Lookup() and through LookupBatch()'s one flush per batch alike.
+  sim::SimilarityWeights weights;
+  SimilarityCache cache(/*capacity=*/1 << 12, /*stripe_count=*/2, weights);
+  constexpr uint64_t kKeys = 256;
+  for (uint64_t key = 1; key <= kKeys; ++key) {
+    cache.Insert(key, static_cast<double>(key) * 0.5);
+  }
+  cache.ResetCounters();
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2000;
+  constexpr size_t kBatch = 8;
+  std::atomic<uint64_t> issued{0};
+  std::atomic<uint64_t> returned_hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t lookups = 0;
+      uint64_t hits = 0;
+      // Keys above kKeys were never inserted: about half the traffic
+      // misses.
+      auto key_at = [t](uint64_t i) {
+        return (i * 7 + static_cast<uint64_t>(t)) % (2 * kKeys) + 1;
+      };
+      for (uint64_t i = 0; i < kRounds; ++i) {
+        if (i % 4 == 0) {
+          uint64_t keys[kBatch];
+          double values[kBatch];
+          uint8_t found[kBatch];
+          for (size_t b = 0; b < kBatch; ++b) keys[b] = key_at(i + b);
+          cache.LookupBatch(keys, kBatch, values, found);
+          for (size_t b = 0; b < kBatch; ++b) hits += found[b];
+          lookups += kBatch;
+        } else {
+          double value = 0.0;
+          hits += cache.Lookup(key_at(i), &value) ? 1 : 0;
+          ++lookups;
+        }
+      }
+      issued.fetch_add(lookups);
+      returned_hits.fetch_add(hits);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  CacheStats stats = cache.GetStats();
+  EXPECT_EQ(stats.shards, 2u);
+  EXPECT_EQ(stats.hits + stats.misses, issued.load());
+  EXPECT_EQ(stats.hits, returned_hits.load());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+}
+
 // ================== Engine observability hooks ====================
 
 TEST(DisambiguationEngineTest, MetricsRegistryCapturesBatch) {

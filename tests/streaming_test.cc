@@ -258,6 +258,8 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
   pool.threads = 8;
   pool.subtree_min_targets = 8;
   pool.subtree_chunk_targets = 64;
+  obs::MetricsRegistry metrics;
+  pool.metrics = &metrics;
   runtime::EngineStats stats;
   std::vector<std::string> pool_output = RunEngine(pool, jobs, &stats);
 
@@ -266,6 +268,17 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
   EXPECT_EQ(solo_output[0], pool_output[0]);
   EXPECT_GT(stats.subtree_parallel_docs, 0u);
   EXPECT_GT(stats.frontend_peak_bytes, 0u);
+  // The fanned write is one serialize sample, the owner's wall time:
+  // it fits inside the document's run, which a sum of thread time
+  // over eight workers need not.
+  const obs::HistogramSnapshot serialize =
+      metrics.GetHistogram("stage.serialize_us")->Snapshot();
+  const obs::HistogramSnapshot run =
+      metrics.GetHistogram("engine.job_run_us")->Snapshot();
+  EXPECT_EQ(serialize.count, 1u);
+  ASSERT_EQ(run.count, 1u);
+  EXPECT_LE(serialize.sum, run.sum);
+  pool.metrics = nullptr;
 
   // Disabling the fan-out must change nothing but the path taken.
   runtime::EngineOptions serial = pool;
@@ -317,6 +330,9 @@ TEST(StreamingEngineTest, PublishesFrontendAndStealGauges) {
   EXPECT_GT(metrics.GetGauge("frontend.arena_peak_bytes")->Value(), 0);
   EXPECT_GE(metrics.GetGauge("engine.subtree_steals")->Value(), 0);
   EXPECT_EQ(metrics.GetGauge("engine.subtree_queue_depth")->Value(), 0);
+  // Peak memory comes from the process itself; this test process holds
+  // at least the lexicon, which is well over a megabyte.
+  EXPECT_GT(metrics.GetGauge("process.peak_rss_bytes")->Value(), 1 << 20);
 }
 
 }  // namespace

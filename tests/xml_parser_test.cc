@@ -247,6 +247,33 @@ TEST(XmlSerializerTest, EscapesText) {
   EXPECT_EQ(Serialize(*doc->root()), "<a>a&lt;b&gt;&amp;c \"q\"</a>");
 }
 
+TEST(XmlSerializerTest, FindEscapableMatchesAByteScan) {
+  // Every escapable byte at every position of texts spanning several
+  // 16-byte blocks and a tail, scanned from every start.
+  for (size_t size = 0; size <= 40; ++size) {
+    for (size_t at = 0; at < size; ++at) {
+      for (char special : {'<', '>', '&', '"'}) {
+        std::string text(size, 'g');
+        text[at] = special;
+        for (bool quote : {false, true}) {
+          for (size_t from = 0; from <= size; ++from) {
+            size_t expected = size;
+            for (size_t i = from; i < size; ++i) {
+              const char c = text[i];
+              if (c == '<' || c == '>' || c == '&' || (quote && c == '"')) {
+                expected = i;
+                break;
+              }
+            }
+            ASSERT_EQ(FindEscapable(text, from, quote), expected)
+                << "size " << size << " at " << at << " from " << from;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(XmlSerializerTest, RoundTripPreservesStructure) {
   const char* xml =
       "<films><picture title=\"Rear &amp; Window\">"

@@ -41,6 +41,22 @@ TEST(LabeledTreeTest, PreorderIdsAndDepths) {
   EXPECT_EQ(tree.node(7).label, "plot");
 }
 
+TEST(LabeledTreeTest, AddNodeKeepsIdsInPreorder) {
+  // After plot(7) only plot, picture and films are open; cast's
+  // subtree is closed, and a child of it would break preorder ids.
+  LabeledTree tree = Figure6Tree();
+  NodeId added = 0;
+  EXPECT_DEBUG_DEATH(added = tree.AddNode(2, "late", TreeNodeKind::kElement),
+                     "preorder");
+#ifdef NDEBUG
+  EXPECT_EQ(added, kInvalidNode);
+  EXPECT_EQ(tree.size(), 8u);
+#endif
+  EXPECT_EQ(tree.AddNode(7, "summary", TreeNodeKind::kElement), 8);
+  EXPECT_EQ(tree.AddNode(0, "award", TreeNodeKind::kElement), 9);
+  EXPECT_TRUE(tree.Validate().ok());
+}
+
 TEST(LabeledTreeTest, FanOutAndDensity) {
   LabeledTree tree = Figure6Tree();
   EXPECT_EQ(tree.node(2).fan_out(), 2);           // cast has 2 children

@@ -123,11 +123,12 @@ def validate_metrics(args):
     # Published by PublishStatsToMetrics() (batch --metrics-out and the
     # serve /metrics endpoint both call it before exporting): the
     # giant-document front-end memory gauge and the intra-document
-    # work-stealing activity gauges.
+    # work-stealing activity gauges, and the process's own peak memory.
     required_gauges = [
         "frontend.arena_peak_bytes",
         "engine.subtree_steals",
         "engine.subtree_queue_depth",
+        "process.peak_rss_bytes",
     ]
     for name in required_counters:
         if name not in data.get("counters", {}):
