@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/label_space.h"
 #include "eval/experiment.h"
+#include "sim/measure_config.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace {
@@ -68,17 +70,17 @@ int main() {
   }
   {
     DisambiguatorOptions o = full;
-    o.similarity_weights = {1.0, 0.0, 0.0};
+    o.measure_config = xsdf::sim::MeasureConfig::PaperHybrid(1.0, 0.0, 0.0);
     ablations.push_back({"edge measure only (no node/gloss)", o});
   }
   {
     DisambiguatorOptions o = full;
-    o.similarity_weights = {0.0, 1.0, 0.0};
+    o.measure_config = xsdf::sim::MeasureConfig::PaperHybrid(0.0, 1.0, 0.0);
     ablations.push_back({"node (IC) measure only", o});
   }
   {
     DisambiguatorOptions o = full;
-    o.similarity_weights = {0.0, 0.0, 1.0};
+    o.measure_config = xsdf::sim::MeasureConfig::PaperHybrid(0.0, 0.0, 1.0);
     ablations.push_back({"gloss measure only", o});
   }
   {
@@ -103,6 +105,19 @@ int main() {
                 scores.precision, scores.recall, scores.f_value, seconds);
   }
 
+  // The corpus trees with label ids, so the sweep counts targets
+  // through the disambiguator's own selection.
+  xsdf::core::LabelSpace space(&*network);
+  std::vector<xsdf::xml::LabeledTree> interned;
+  for (const auto& doc : *corpus) {
+    xsdf::xml::LabeledTree tree = doc.tree;
+    for (xsdf::xml::NodeId id = 0;
+         id < static_cast<xsdf::xml::NodeId>(tree.size()); ++id) {
+      tree.set_label_id(id, space.Resolve(tree.node(id).label));
+    }
+    interned.push_back(std::move(tree));
+  }
+
   std::printf("\nAmbiguity-threshold sweep (Motivation 1: selecting only "
               "ambiguous targets).\n");
   std::printf("%-10s %-10s %-8s %-8s %-8s %-8s\n", "Thresh", "Targets",
@@ -113,11 +128,11 @@ int main() {
     double seconds = 0.0;
     auto scores = RunAll(*corpus, *network, o, &seconds);
     // Count selected targets across the corpus for this threshold.
+    o.label_space = &space;
+    xsdf::core::Disambiguator selector(&*network, o);
     long targets = 0;
-    for (const auto& doc : *corpus) {
-      targets += static_cast<long>(
-          xsdf::core::SelectTargetNodes(doc.tree, *network, threshold)
-              .size());
+    for (const auto& tree : interned) {
+      targets += static_cast<long>(selector.SelectTargets(tree).size());
     }
     std::printf("%-10.2f %-10ld %-8.3f %-8.3f %-8.3f %-8.2f\n", threshold,
                 targets, scores.precision, scores.recall, scores.f_value,

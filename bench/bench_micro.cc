@@ -118,7 +118,8 @@ BENCHMARK(BM_WndbParse);
 
 void BM_SimilarityCombined(benchmark::State& state) {
   const auto& network = Network();
-  xsdf::sim::CombinedMeasure measure;
+  xsdf::sim::CombinedMeasure measure(
+      xsdf::sim::MeasureConfig::PaperHybrid());
   auto star = network.Senses("star");
   auto light = network.Senses("light");
   size_t i = 0;
@@ -134,7 +135,8 @@ BENCHMARK(BM_SimilarityCombined);
 
 void BM_SimilarityCached(benchmark::State& state) {
   const auto& network = Network();
-  xsdf::sim::CombinedMeasure measure;
+  xsdf::sim::CombinedMeasure measure(
+      xsdf::sim::MeasureConfig::PaperHybrid());
   auto star = network.Senses("star");
   auto light = network.Senses("light");
   for (auto _ : state) {
@@ -158,12 +160,15 @@ void BM_BuildXmlIdSphere(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildXmlIdSphere)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
+/// Eq. 4 over every node, Amb_Polysemy read from the label-id memo.
 void BM_AmbiguityDegree(benchmark::State& state) {
   const auto& tree = ShakespeareTree();
   for (auto _ : state) {
     double total = 0.0;
     for (const auto& node : tree.nodes()) {
-      total += xsdf::core::AmbiguityDegree(tree, node.id, Network());
+      const double polysemy = Space().Senses(tree.label_id(node.id)).polysemy;
+      total += xsdf::core::AmbiguityDegreeFromPolysemy(tree, node.id,
+                                                       polysemy);
     }
     benchmark::DoNotOptimize(total);
   }

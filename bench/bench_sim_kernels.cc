@@ -1,8 +1,9 @@
 // Microbenchmark for the interned id-based similarity kernels: ns/pair
 // for each measure over deterministic random concept pairs of the
-// mini-WordNet, legacy string-path kernels vs the precomputed-table
-// kernels, plus the warm path (CombinedMeasure through a primed
-// SimilarityCache, i.e. the steady-state cost at >99% hit rates).
+// mini-WordNet, the legacy string-path kernels of tests/sim_oracles.h
+// vs the precomputed-table kernels, plus the warm path (CombinedMeasure
+// through a primed SimilarityCache, i.e. the steady-state cost at >99%
+// hit rates).
 // Results go to stdout and to a JSON file (argv[1] when it is not a
 // flag, default BENCH_sim_kernels.json).
 //
@@ -42,10 +43,12 @@
 #include "sim/measure_config.h"
 #include "sim/resnik.h"
 #include "sim/wu_palmer.h"
+#include "sim_oracles.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace {
 
+namespace oracle = xsdf::testing::legacy;
 using xsdf::wordnet::ConceptId;
 using xsdf::wordnet::SemanticNetwork;
 
@@ -319,13 +322,11 @@ int main(int argc, char** argv) {
     return measure.Similarity(n, a, b);
   };
   const Check checks[] = {
-      {"wu_palmer", wu_fast, &xsdf::sim::WuPalmerMeasure::LegacySimilarity},
-      {"resnik", resnik_fast, &xsdf::sim::ResnikMeasure::LegacySimilarity},
-      {"lin", lin_fast, &xsdf::sim::LinMeasure::LegacySimilarity},
-      {"gloss_overlap", gloss_fast,
-       &xsdf::sim::GlossOverlapMeasure::LegacySimilarity},
-      {"conceptual_density", density_fast,
-       &xsdf::sim::ConceptualDensityMeasure::LegacySimilarity},
+      {"wu_palmer", wu_fast, &oracle::WuPalmer},
+      {"resnik", resnik_fast, &oracle::Resnik},
+      {"lin", lin_fast, &oracle::Lin},
+      {"gloss_overlap", gloss_fast, &oracle::GlossOverlap},
+      {"conceptual_density", density_fast, &oracle::ConceptualDensity},
   };
   size_t mismatches = 0;
   const std::vector<xsdf::simd::Level> levels = SupportedLevels();
@@ -362,8 +363,7 @@ int main(int argc, char** argv) {
   KernelResult wu{"wu_palmer"};
   wu.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::WuPalmerMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return oracle::WuPalmer(network, a, b);
                            });
   wu.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -374,8 +374,7 @@ int main(int argc, char** argv) {
   KernelResult re{"resnik"};
   re.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::ResnikMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return oracle::Resnik(network, a, b);
                            });
   re.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -386,8 +385,7 @@ int main(int argc, char** argv) {
   KernelResult li{"lin"};
   li.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::LinMeasure::LegacySimilarity(
-                                 network, a, b);
+                             return oracle::Lin(network, a, b);
                            });
   li.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -398,8 +396,7 @@ int main(int argc, char** argv) {
   KernelResult gl{"gloss_overlap"};
   gl.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::GlossOverlapMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return oracle::GlossOverlap(network, a, b);
                            });
   gl.fast_ns = TimePairs(pairs, rounds, &checksum,
                          [&](ConceptId a, ConceptId b) {
@@ -410,8 +407,7 @@ int main(int argc, char** argv) {
   KernelResult cd{"conceptual_density"};
   cd.legacy_ns = TimePairs(pairs, rounds, &checksum,
                            [&](ConceptId a, ConceptId b) {
-                             return xsdf::sim::ConceptualDensityMeasure::
-                                 LegacySimilarity(network, a, b);
+                             return oracle::ConceptualDensity(network, a, b);
                            });
   // Prime the lazily built subtree table so fast_ns is the per-pair
   // steady state, not a one-off table build.
@@ -424,9 +420,11 @@ int main(int argc, char** argv) {
 
   // Warm path: CombinedMeasure through a primed shared SimilarityCache
   // — the cost of a cache hit, which dominates steady-state batches.
-  xsdf::sim::SimilarityWeights weights;
-  xsdf::sim::CombinedMeasure combined(weights);
-  xsdf::runtime::SimilarityCache cache(1 << 18, 16, weights);
+  const xsdf::sim::MeasureConfig hybrid =
+      xsdf::sim::MeasureConfig::PaperHybrid();
+  xsdf::sim::CombinedMeasure combined(hybrid);
+  xsdf::runtime::SimilarityCache cache(
+      1 << 18, 16, xsdf::runtime::SimilarityCache::ConfigFingerprint(hybrid));
   combined.set_external_cache(&cache);
   for (const auto& [a, b] : pairs) combined.Similarity(network, a, b);
   double warm_ns = TimePairs(pairs, rounds, &checksum,

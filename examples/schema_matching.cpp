@@ -48,7 +48,8 @@ int main() {
   auto network = xsdf::wordnet::BuildMiniWordNet();
   if (!network.ok()) return 1;
   xsdf::core::Disambiguator disambiguator(&*network);
-  xsdf::sim::CombinedMeasure measure;
+  xsdf::sim::CombinedMeasure measure(
+      xsdf::sim::MeasureConfig::PaperHybrid());
 
   const auto docs = xsdf::datasets::Figure1Documents();
   auto schema_a = ConceptsOf(disambiguator, *network, docs[0].xml);

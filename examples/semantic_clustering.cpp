@@ -47,7 +47,8 @@ int main() {
   auto network = xsdf::wordnet::BuildMiniWordNet();
   if (!network.ok()) return 1;
   xsdf::core::Disambiguator disambiguator(&*network);
-  xsdf::sim::CombinedMeasure measure;
+  xsdf::sim::CombinedMeasure measure(
+      xsdf::sim::MeasureConfig::PaperHybrid());
 
   // Two documents from each of four families, generated fresh.
   std::vector<DocumentProfile> profiles;

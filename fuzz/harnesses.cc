@@ -14,6 +14,7 @@
 #include "core/streaming_builder.h"
 #include "labeled_tree_oracle.h"
 #include "prop/generators.h"
+#include "sim_oracles.h"
 #include "snapshot/snapshot.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/wndb.h"
@@ -263,7 +264,8 @@ void DriveSnapshotLoader(const uint8_t* data, size_t size) {
   network.MaxPolysemy();
   network.MaxDepth();
   if (n > 1) {
-    network.LeastCommonSubsumer(0, static_cast<wordnet::ConceptId>(n - 1));
+    testing::legacy::LeastCommonSubsumer(
+        network, 0, static_cast<wordnet::ConceptId>(n - 1));
   }
   // Re-snapshot + re-load: the writer reads through the same views the
   // mapped network installed, so anything the loader accepts must

@@ -58,44 +58,4 @@ double AmbiguityDegreeFromPolysemy(const xml::LabeledTree& tree,
   return weights.polysemy * polysemy / denominator;
 }
 
-double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
-                       const wordnet::SemanticNetwork& network,
-                       const AmbiguityWeights& weights) {
-  return AmbiguityDegreeFromPolysemy(
-      tree, id, AmbiguityPolysemy(network, tree.node(id).label), weights);
-}
-
-double AverageAmbiguityDegree(const xml::LabeledTree& tree,
-                              const wordnet::SemanticNetwork& network,
-                              const AmbiguityWeights& weights) {
-  if (tree.empty()) return 0.0;
-  double sum = 0.0;
-  for (const xml::TreeNode& node : tree.nodes()) {
-    sum += AmbiguityDegree(tree, node.id, network, weights);
-  }
-  return sum / static_cast<double>(tree.size());
-}
-
-std::vector<xml::NodeId> SelectTargetNodes(
-    const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
-    double threshold, const AmbiguityWeights& weights) {
-  std::vector<xml::NodeId> targets;
-  for (const xml::TreeNode& node : tree.nodes()) {
-    // Nodes with no senses at all cannot be assigned a concept; they are
-    // never targets even at threshold 0.
-    bool has_sense = false;
-    for (const std::string& token : LabelSenseTokens(network, node.label)) {
-      if (network.SenseCount(token) > 0) {
-        has_sense = true;
-        break;
-      }
-    }
-    if (!has_sense) continue;
-    if (AmbiguityDegree(tree, node.id, network, weights) >= threshold) {
-      targets.push_back(node.id);
-    }
-  }
-  return targets;
-}
-
 }  // namespace xsdf::core

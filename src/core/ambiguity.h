@@ -1,7 +1,7 @@
 #ifndef XSDF_CORE_AMBIGUITY_H_
 #define XSDF_CORE_AMBIGUITY_H_
 
-#include <vector>
+#include <string>
 
 #include "wordnet/semantic_network.h"
 #include "xml/labeled_tree.h"
@@ -36,33 +36,12 @@ double AmbiguityDensity(const xml::LabeledTree& tree, xml::NodeId id);
 ///   w_Dep * (1 - Amb_Depth) + w_Den * (1 - Amb_Density) + 1
 ///
 /// from the node's already-known Amb_Polysemy factor `polysemy` (Eq. 1).
-/// Monolysemous labels (polysemy 0) score 0 (Assumption 4). The
-/// disambiguator feeds it the per-label memo LabelSenses::polysemy;
-/// the overload below computes the factor from the label string.
+/// Monolysemous labels (polysemy 0) score 0 (Assumption 4). Callers
+/// feed it the per-label-id memo LabelSenses::polysemy
+/// (LabelSpace::Senses), which is AmbiguityPolysemy() of the label.
 double AmbiguityDegreeFromPolysemy(const xml::LabeledTree& tree,
                                    xml::NodeId id, double polysemy,
                                    const AmbiguityWeights& weights = {});
-
-/// Amb_Deg with Amb_Polysemy computed from the node's label string —
-/// for trees that carry no label ids (evaluation, raters, tools).
-/// Compound labels average their token polysemy factors.
-double AmbiguityDegree(const xml::LabeledTree& tree, xml::NodeId id,
-                       const wordnet::SemanticNetwork& network,
-                       const AmbiguityWeights& weights = {});
-
-/// Average Amb_Deg over all nodes of the tree — the per-document
-/// ambiguity feature used to assign documents to Table 1 groups.
-double AverageAmbiguityDegree(const xml::LabeledTree& tree,
-                              const wordnet::SemanticNetwork& network,
-                              const AmbiguityWeights& weights = {});
-
-/// Nodes whose Amb_Deg >= threshold — the disambiguation targets
-/// (paper §3.3). A threshold of 0 selects every node whose label has
-/// at least one sense in the network. String-based; the disambiguator's
-/// SelectTargets() computes the same list from label ids.
-std::vector<xml::NodeId> SelectTargetNodes(
-    const xml::LabeledTree& tree, const wordnet::SemanticNetwork& network,
-    double threshold, const AmbiguityWeights& weights = {});
 
 }  // namespace xsdf::core
 

@@ -256,8 +256,9 @@ std::vector<xml::NodeId> Disambiguator::SelectTargets(
   obs::StageTimer timer(ins_.select_us, options_.trace, "select");
   std::vector<xml::NodeId> targets;
   if (!tree.has_label_ids()) return targets;
-  // SelectTargetNodes() on label ids: one memo read per node answers
-  // both "has a sense" and Amb_Polysemy, with no string work.
+  // One memo read per node answers both "has a sense" (a senseless
+  // label can never be assigned a concept, so it is no target even at
+  // threshold 0) and Amb_Polysemy, with no string work.
   for (xml::NodeId id = 0; id < static_cast<xml::NodeId>(tree.size());
        ++id) {
     const LabelSenses& senses = label_space_->Senses(tree.label_id(id));
@@ -572,6 +573,27 @@ void AppendNodeAuditFields(obs::JsonWriter* writer, const NodeAudit& audit,
     writer->EndObject();
   }
   writer->EndArray();
+}
+
+size_t AppendExplainedNodes(obs::JsonWriter* writer,
+                            const Disambiguator& system,
+                            const xml::LabeledTree& tree,
+                            std::span<const xml::NodeId> matches,
+                            const wordnet::SemanticNetwork& network) {
+  writer->Key("nodes").BeginArray();
+  size_t explained = 0;
+  for (xml::NodeId id : matches) {
+    auto audit = system.ExplainNode(tree, id);
+    if (!audit.ok()) continue;  // senseless label: nothing to audit
+    writer->BeginObject();
+    AppendNodeAuditFields(writer, *audit, network);
+    writer->EndObject();
+    ++explained;
+  }
+  writer->EndArray();
+  writer->Key("matches").Value(static_cast<uint64_t>(matches.size()));
+  writer->Key("explained").Value(static_cast<uint64_t>(explained));
+  return explained;
 }
 
 std::string NodeAuditToJson(const NodeAudit& audit,

@@ -60,22 +60,20 @@ struct DisambiguatorOptions {
   /// Context size: the sphere neighborhood radius d (paper §3.4).
   int sphere_radius = 2;
 
-  /// Semantic similarity combination (Definition 9).
-  sim::SimilarityWeights similarity_weights;
-
-  /// Registry measure composition (the `--measures` flag). When
-  /// non-empty it overrides `similarity_weights` and must be valid
+  /// Semantic similarity composition (Definition 9; the `--measures`
+  /// flag). Empty means the paper hybrid, equal thirds of wu-palmer,
+  /// lin and gloss-overlap; a non-empty config must be valid
   /// (MeasureConfig::Validate() OK — the CLI guarantees this by going
-  /// through MeasureConfig::Parse); when empty the paper hybrid under
-  /// `similarity_weights` is used. Always read it through
+  /// through MeasureConfig::Parse). Always read it through
   /// EffectiveMeasureConfig() so the measure the disambiguator builds,
   /// the fingerprint the engine keys its similarity cache on, and the
   /// spec string serve reports can never disagree.
   sim::MeasureConfig measure_config;
 
-  /// The composition actually in effect under the override rule above.
+  /// The composition actually in effect: `measure_config`, or
+  /// MeasureConfig::PaperHybrid() when it is empty.
   sim::MeasureConfig EffectiveMeasureConfig() const {
-    return measure_config.empty() ? similarity_weights.ToConfig()
+    return measure_config.empty() ? sim::MeasureConfig::PaperHybrid()
                                   : measure_config;
   }
 
@@ -207,13 +205,15 @@ class Disambiguator {
   /// without label ids gets them assigned from label_space() first.
   Result<SemanticTree> RunOnTree(xml::LabeledTree tree) const;
 
-  /// The target nodes RunOnTree would disambiguate, in selection
-  /// order, timed into stage.select_us. Exposed so the runtime engine
-  /// can split the per-target loop (DisambiguateTargets) into stealable
-  /// chunks across workers — DisambiguateNode is a pure function of
-  /// (tree, id) for identically-configured disambiguators, so chunk
-  /// placement never changes results. Empty when the tree carries no
-  /// label ids (RunOnTree assigns them first).
+  /// The target nodes RunOnTree would disambiguate (paper §3.3): every
+  /// node whose label has at least one sense and whose Amb_Deg reaches
+  /// the ambiguity threshold, in node order, timed into
+  /// stage.select_us. Exposed so the runtime engine can split the
+  /// per-target loop (DisambiguateTargets) into stealable chunks across
+  /// workers — DisambiguateNode is a pure function of (tree, id) for
+  /// identically-configured disambiguators, so chunk placement never
+  /// changes results. Empty when the tree carries no label ids
+  /// (RunOnTree assigns them first).
   std::vector<xml::NodeId> SelectTargets(const xml::LabeledTree& tree) const;
 
   /// Where one document's disambiguation time went: context covers
@@ -350,6 +350,17 @@ char* WriteSemanticXmlRange(const xml::LabeledTree& tree,
 /// context keys (file, path) around it. See also NodeAuditToJson().
 void AppendNodeAuditFields(obs::JsonWriter* writer, const NodeAudit& audit,
                            const wordnet::SemanticNetwork& network);
+
+/// The audit part of an explain record, shared by `xsdf explain` and
+/// the daemon's /explain: a "nodes" array holding one
+/// AppendNodeAuditFields object per node of `matches` whose label has
+/// candidate senses, then the "matches" and "explained" counts, written
+/// into an already-open JSON object. Returns the explained count.
+size_t AppendExplainedNodes(obs::JsonWriter* writer,
+                            const Disambiguator& system,
+                            const xml::LabeledTree& tree,
+                            std::span<const xml::NodeId> matches,
+                            const wordnet::SemanticNetwork& network);
 
 /// A NodeAudit as a standalone JSON object (the `xsdf explain` record).
 std::string NodeAuditToJson(const NodeAudit& audit,

@@ -5,6 +5,7 @@
 
 #include "core/ambiguity.h"
 #include "core/baselines.h"
+#include "core/label_space.h"
 #include "core/streaming_builder.h"
 #include "core/tree_builder.h"
 #include "eval/raters.h"
@@ -54,15 +55,38 @@ double GroupContextClarity(int group) {
   }
 }
 
+namespace {
+
+/// Amb_Deg of node `id` (Eq. 4), its Amb_Polysemy (Eq. 1) read through
+/// the label-id memo of `space` — the read the disambiguator's target
+/// selection makes.
+double NodeAmbiguity(core::LabelSpace& space, const xml::LabeledTree& tree,
+                     xml::NodeId id,
+                     const core::AmbiguityWeights& weights = {}) {
+  const core::LabelSenses& senses =
+      space.Senses(space.Resolve(tree.node(id).label));
+  return core::AmbiguityDegreeFromPolysemy(tree, id, senses.polysemy,
+                                           weights);
+}
+
+}  // namespace
+
 std::vector<GroupFeatureRow> ComputeTable1(
     const std::vector<CorpusDocument>& corpus,
     const wordnet::SemanticNetwork& network) {
+  core::LabelSpace space(&network);
   std::map<int, GroupFeatureRow> rows;
   for (const CorpusDocument& doc : corpus) {
     GroupFeatureRow& row = rows[doc.dataset.group];
     row.group = doc.dataset.group;
-    row.avg_ambiguity +=
-        core::AverageAmbiguityDegree(doc.tree, network);
+    // The document's average Amb_Deg over all of its nodes.
+    if (!doc.tree.empty()) {
+      double sum = 0.0;
+      for (const xml::TreeNode& node : doc.tree.nodes()) {
+        sum += NodeAmbiguity(space, doc.tree, node.id);
+      }
+      row.avg_ambiguity += sum / static_cast<double>(doc.tree.size());
+    }
     row.avg_structure += xml::AverageStructDegree(doc.tree);
     row.documents += 1;
   }
@@ -90,6 +114,7 @@ std::vector<CorrelationRow> ComputeTable2(
       {0.2, 1.0, 0.0},  // Test #3: depth focus
       {0.2, 0.0, 1.0},  // Test #4: density focus
   };
+  core::LabelSpace space(&network);
   std::map<int, Accumulator> by_dataset;
   for (const CorpusDocument& doc : corpus) {
     Accumulator& acc = by_dataset[doc.dataset.id];
@@ -106,8 +131,8 @@ std::vector<CorrelationRow> ComputeTable2(
     for (size_t i = 0; i < nodes.size(); ++i) {
       acc.human.push_back(ratings[i]);
       for (int t = 0; t < 4; ++t) {
-        acc.test[t].push_back(core::AmbiguityDegree(
-            doc.tree, nodes[i], network, kConfigs[t]));
+        acc.test[t].push_back(
+            NodeAmbiguity(space, doc.tree, nodes[i], kConfigs[t]));
       }
     }
   }

@@ -614,22 +614,8 @@ HttpResponse Server::HandleExplain(const HttpRequest& request) {
   writer.Value(state->name);
   writer.Key("measures");
   writer.Value(measure_spec_);
-  writer.Key("nodes");
-  writer.BeginArray();
-  size_t explained = 0;
-  for (xml::NodeId id : matches) {
-    auto audit = system.ExplainNode(*tree, id);
-    if (!audit.ok()) continue;  // senseless label: nothing to audit
-    writer.BeginObject();
-    core::AppendNodeAuditFields(&writer, *audit, *state->network);
-    writer.EndObject();
-    ++explained;
-  }
-  writer.EndArray();
-  writer.Key("matches");
-  writer.Value(static_cast<uint64_t>(matches.size()));
-  writer.Key("explained");
-  writer.Value(static_cast<uint64_t>(explained));
+  core::AppendExplainedNodes(&writer, system, *tree, matches,
+                             *state->network);
   writer.EndObject();
 
   HttpResponse response;

@@ -12,21 +12,6 @@
 
 namespace xsdf::sim {
 
-/// Weights of the combined measure (paper Definition 9); they must be
-/// non-negative and sum to 1. The paper's experiments use equal thirds.
-struct SimilarityWeights {
-  double edge = 1.0 / 3.0;   ///< w_Edge, on Wu-Palmer
-  double node = 1.0 / 3.0;   ///< w_Node, on Lin
-  double gloss = 1.0 / 3.0;  ///< w_Gloss, on extended gloss overlap
-
-  /// True when weights are non-negative and sum to 1 (within 1e-9).
-  bool Valid() const;
-
-  /// These weights as the equivalent registry composition:
-  /// {wu-palmer: edge, lin: node, gloss-overlap: gloss}.
-  MeasureConfig ToConfig() const;
-};
-
 /// Pluggable memo store for combined similarity values, keyed on the
 /// packed symmetric concept-pair key (min id in the high 32 bits). An
 /// implementation shared across threads must be internally thread-safe;
@@ -63,24 +48,13 @@ class SimilarityCacheHook {
 /// across sphere contexts.
 class CombinedMeasure : public SimilarityMeasure {
  public:
-  explicit CombinedMeasure(SimilarityWeights weights = {});
-
   /// Builds the composition described by `config`, resolving each name
   /// through MeasureRegistry::Global(). `config` must be valid
   /// (Validate() OK — e.g. produced by MeasureConfig::Parse or
-  /// SimilarityWeights::ToConfig); an invalid config aborts, since a
-  /// constructor cannot report the error. Fallible callers go through
-  /// FromRegistry.
+  /// MeasureConfig::PaperHybrid); an invalid config aborts, since a
+  /// constructor cannot report the error. Fallible callers validate
+  /// first.
   explicit CombinedMeasure(const MeasureConfig& config);
-
-  /// Builds a combined measure from arbitrary registered measure names
-  /// and weights (extensibility hook beyond the three defaults).
-  static Result<std::unique_ptr<CombinedMeasure>> FromRegistry(
-      const std::vector<std::pair<std::string, double>>& weighted_names);
-
-  /// Same, from a parsed measure config.
-  static Result<std::unique_ptr<CombinedMeasure>> FromRegistry(
-      const MeasureConfig& config);
 
   double Similarity(const wordnet::SemanticNetwork& network,
                     wordnet::ConceptId a,
@@ -100,11 +74,9 @@ class CombinedMeasure : public SimilarityMeasure {
 
   std::string name() const override { return "combined"; }
 
-  const SimilarityWeights& weights() const { return weights_; }
-
-  /// The registry composition this measure was built from (for the
-  /// weights constructor, the equivalent ToConfig()). Its Fingerprint()
-  /// is what an external similarity cache must be keyed on.
+  /// The registry composition this measure was built from. Its
+  /// Fingerprint() is what an external similarity cache must be keyed
+  /// on.
   const MeasureConfig& config() const { return config_; }
 
   /// Drops the memoization table (call when switching networks).
@@ -127,15 +99,11 @@ class CombinedMeasure : public SimilarityMeasure {
   static uint64_t PairKey(wordnet::ConceptId a, wordnet::ConceptId b);
 
  private:
-  struct RawTag {};
-  explicit CombinedMeasure(RawTag) {}  // registry path: no defaults
-
   /// The weighted component sum + clamp shared by Similarity() and
   /// SimilarityMany() (cache-miss path).
   double ComputeUncached(const wordnet::SemanticNetwork& network,
                          wordnet::ConceptId a, wordnet::ConceptId b) const;
 
-  SimilarityWeights weights_;
   MeasureConfig config_;
   std::vector<std::pair<std::unique_ptr<SimilarityMeasure>, double>>
       components_;

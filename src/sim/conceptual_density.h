@@ -40,23 +40,16 @@ namespace xsdf::sim {
 /// a mutex-guarded shared_ptr (instances are safely shared across
 /// threads), and the common-subsumer set comes from the SIMD sorted
 /// intersect — max over the matched set is order-independent, so
-/// scores are bit-identical at every dispatch level. LegacySimilarity
-/// recomputes both counts per call from AncestorDistances() walks (the
-/// same BFS FinalizeFrequencies() builds the CSR rows from) and is the
-/// oracle the table path is verified against.
+/// scores are bit-identical at every dispatch level. The test oracle in
+/// tests/sim_oracles.h recomputes both counts per call from
+/// AncestorDistances() walks (the same BFS FinalizeFrequencies() builds
+/// the CSR rows from); the table path is verified against it.
 class ConceptualDensityMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,
                     wordnet::ConceptId a,
                     wordnet::ConceptId b) const override;
   std::string name() const override { return "conceptual-density"; }
-
-  /// Table-free reference implementation (per-call whole-network
-  /// AncestorDistances walks): the bit-identity oracle in tests and
-  /// benchmarks.
-  static double LegacySimilarity(const wordnet::SemanticNetwork& network,
-                                 wordnet::ConceptId a,
-                                 wordnet::ConceptId b);
 
  private:
   /// Per-network derived counts, built lazily on first use.

@@ -16,19 +16,14 @@ namespace xsdf::sim {
 /// The lcs chosen maximizes IC among common ancestors (Resnik's "most
 /// informative subsumer"). Requires FinalizeFrequencies().
 /// The subsumer search merges the precomputed ancestor arrays and
-/// reads the IC table — bit-identical to the legacy hash-map walk kept
-/// as LegacySimilarity().
+/// reads the IC table — bit-identical to the hash-map walk of the test
+/// oracle in tests/sim_oracles.h.
 class LinMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,
                     wordnet::ConceptId a,
                     wordnet::ConceptId b) const override;
   std::string name() const override { return "lin"; }
-
-  /// The pre-interning implementation; oracle for the id-based kernel.
-  static double LegacySimilarity(const wordnet::SemanticNetwork& network,
-                                 wordnet::ConceptId a,
-                                 wordnet::ConceptId b);
 };
 
 }  // namespace xsdf::sim

@@ -13,12 +13,13 @@ namespace xsdf::sim {
 
 /// An ordered similarity-measure composition: (registered measure name,
 /// weight) pairs, weights non-negative and summing to 1. This is the
-/// single source of truth for which measures an engine runs — the CLI
-/// parses `--measures` into one, Disambiguator/CombinedMeasure build
-/// their components from it, the serve layer reports its ToSpec()
-/// string, and the runtime similarity cache keys entries on its
-/// Fingerprint(). An empty config means "use the paper default"
-/// (callers substitute PaperHybrid()).
+/// only way to name a measure composition — the CLI parses
+/// `--measures` into one, Disambiguator/CombinedMeasure build their
+/// components from it, the serve layer reports its ToSpec() string,
+/// and the runtime similarity cache keys entries on its Fingerprint().
+/// An empty config in DisambiguatorOptions::measure_config means the
+/// paper default; DisambiguatorOptions::EffectiveMeasureConfig() is
+/// the one place that substitutes PaperHybrid() for it.
 struct MeasureConfig {
   std::vector<std::pair<std::string, double>> entries;
 

@@ -18,18 +18,13 @@ namespace xsdf::sim {
 /// similarity measure can be used, or combined").
 /// The subsumer search merges the precomputed ancestor arrays of the
 /// finalized network and reads the IC table — bit-identical to the
-/// legacy hash-map walk kept as LegacySimilarity().
+/// hash-map walk of the test oracle in tests/sim_oracles.h.
 class ResnikMeasure : public SimilarityMeasure {
  public:
   double Similarity(const wordnet::SemanticNetwork& network,
                     wordnet::ConceptId a,
                     wordnet::ConceptId b) const override;
   std::string name() const override { return "resnik"; }
-
-  /// The pre-interning implementation; oracle for the id-based kernel.
-  static double LegacySimilarity(const wordnet::SemanticNetwork& network,
-                                 wordnet::ConceptId a,
-                                 wordnet::ConceptId b);
 };
 
 }  // namespace xsdf::sim

@@ -6,23 +6,6 @@
 
 namespace xsdf::sim {
 
-double WuPalmerMeasure::LegacySimilarity(
-    const wordnet::SemanticNetwork& network, wordnet::ConceptId a,
-    wordnet::ConceptId b) {
-  if (a == b) return 1.0;
-  wordnet::ConceptId lcs = network.LeastCommonSubsumer(a, b);
-  if (lcs == wordnet::kInvalidConcept) return 0.0;
-  auto da = network.AncestorDistances(a);
-  auto db = network.AncestorDistances(b);
-  int len_a = da.at(lcs);
-  int len_b = db.at(lcs);
-  int depth_lcs = network.Depth(lcs);
-  double denominator =
-      static_cast<double>(len_a + len_b + 2 * depth_lcs);
-  if (denominator <= 0.0) return 0.0;  // both are roots and disjoint
-  return (2.0 * depth_lcs) / denominator;
-}
-
 double WuPalmerMeasure::Similarity(const wordnet::SemanticNetwork& network,
                                    wordnet::ConceptId a,
                                    wordnet::ConceptId b) const {
@@ -32,7 +15,7 @@ double WuPalmerMeasure::Similarity(const wordnet::SemanticNetwork& network,
   // The score only depends on (best_sum, best_depth); the (sum, depth)
   // selection rule is order-independent over the matched set and the
   // intersect finds the same matches at every dispatch level — so this
-  // matches the legacy path bit for bit.
+  // matches the upward-BFS oracle bit for bit.
   std::span<const wordnet::AncestorEntry> aa = network.Ancestors(a);
   std::span<const wordnet::AncestorEntry> ab = network.Ancestors(b);
   int best_sum = std::numeric_limits<int>::max();

@@ -5,7 +5,6 @@
 #include <cctype>
 #include <cmath>
 #include <deque>
-#include <limits>
 
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"
@@ -369,27 +368,6 @@ std::unordered_map<ConceptId, int> SemanticNetwork::AncestorDistances(
   return distances;
 }
 
-ConceptId SemanticNetwork::LeastCommonSubsumer(ConceptId a,
-                                               ConceptId b) const {
-  std::unordered_map<ConceptId, int> da = AncestorDistances(a);
-  std::unordered_map<ConceptId, int> db = AncestorDistances(b);
-  ConceptId best = kInvalidConcept;
-  int best_sum = std::numeric_limits<int>::max();
-  int best_depth = -1;
-  for (const auto& [ancestor, dist_a] : da) {
-    auto it = db.find(ancestor);
-    if (it == db.end()) continue;
-    int sum = dist_a + it->second;
-    int depth = Depth(ancestor);
-    if (sum < best_sum || (sum == best_sum && depth > best_depth)) {
-      best_sum = sum;
-      best_depth = depth;
-      best = ancestor;
-    }
-  }
-  return best;
-}
-
 int SemanticNetwork::HypernymPathLength(ConceptId a, ConceptId b) const {
   std::unordered_map<ConceptId, int> da = AncestorDistances(a);
   std::unordered_map<ConceptId, int> db = AncestorDistances(b);
@@ -529,11 +507,10 @@ void SemanticNetwork::FinalizeFrequencies() {
   }
   max_information_content_ = -std::log(1.0 / total_frequency_);
 
-  // Extended-gloss token bags: build the same combined gloss string
-  // sim::GlossOverlapMeasure::ExtendedGloss() builds (own gloss plus
-  // the glosses of taxonomic/meronymic neighbors), run it through the
-  // same tokenize -> stop-word -> stem pipeline once, and intern the
-  // result — per-pair gloss scoring never touches a string again.
+  // Extended-gloss token bags: build the combined gloss string (own
+  // gloss plus the glosses of taxonomic/meronymic neighbors), run it
+  // through the tokenize -> stop-word -> stem pipeline once, and intern
+  // the result — per-pair gloss scoring never touches a string again.
   gloss_offsets_.assign(n + 1, 0);
   gloss_tokens_.clear();
   gloss_bag_offsets_.assign(n + 1, 0);

@@ -205,11 +205,6 @@ class SemanticNetwork {
   /// shortest hypernym-path distance from `id`.
   std::unordered_map<ConceptId, int> AncestorDistances(ConceptId id) const;
 
-  /// Least common subsumer of `a` and `b` minimizing the summed path
-  /// length (ties broken toward greater depth). kInvalidConcept when
-  /// the two concepts share no ancestor.
-  ConceptId LeastCommonSubsumer(ConceptId a, ConceptId b) const;
-
   /// Length (edges) of the shortest path from `a` to `b` through their
   /// LCS; -1 when unrelated.
   int HypernymPathLength(ConceptId a, ConceptId b) const;
@@ -255,8 +250,8 @@ class SemanticNetwork {
 
   /// The extended-gloss token sequence of `id` (own gloss + glosses of
   /// directly related concepts, tokenized, stop-word filtered, stemmed,
-  /// interned), in text order — the id-level equivalent of
-  /// sim::GlossOverlapMeasure::ExtendedGloss().
+  /// interned), in text order — the id-level equivalent of the string
+  /// extended gloss the test oracle in tests/sim_oracles.h builds.
   std::span<const uint32_t> GlossTokens(ConceptId id) const {
     size_t i = static_cast<size_t>(id);
     return gloss_tokens_v_.subspan(

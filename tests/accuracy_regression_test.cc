@@ -8,9 +8,14 @@
 // one sense assignment under any measure composition fails this test,
 // not a human eyeballing a benchmark table.
 //
+// The same corpus also pins every Table 1, 2 and 3 row that
+// eval::ComputeTable1/2/3 produce (tests/golden/eval_tables.txt), each
+// double printed with %.17g so a change to how Amb_Deg or the dataset
+// statistics are computed cannot move a single bit unnoticed.
+//
 // Regenerating after an *intentional* accuracy change:
 //   XSDF_UPDATE_GOLDEN=1 ./accuracy_regression_test
-// rewrites the golden in the source tree; review the diff like code.
+// rewrites the goldens in the source tree; review the diff like code.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +37,8 @@ namespace {
 
 constexpr char kGoldenPath[] =
     XSDF_SOURCE_DIR "/tests/golden/accuracy_golden.json";
+constexpr char kTablesGoldenPath[] =
+    XSDF_SOURCE_DIR "/tests/golden/eval_tables.txt";
 constexpr uint64_t kCorpusSeed = 20150323;
 constexpr int kRadius = 2;
 
@@ -131,25 +138,72 @@ std::string BuildReport() {
   return out;
 }
 
-TEST(AccuracyRegressionTest, MatchesGolden) {
-  std::string report = BuildReport();
+/// Every Table 1, 2 and 3 row, one line per row, doubles bit-exact.
+std::string BuildTablesReport() {
+  std::string out;
+  char buf[512];
+  for (const eval::GroupFeatureRow& row :
+       eval::ComputeTable1(Corpus(), Network())) {
+    std::snprintf(buf, sizeof(buf),
+                  "table1 group=%d avg_ambiguity=%.17g avg_structure=%.17g "
+                  "documents=%d\n",
+                  row.group, row.avg_ambiguity, row.avg_structure,
+                  row.documents);
+    out += buf;
+  }
+  for (const eval::CorrelationRow& row :
+       eval::ComputeTable2(Corpus(), Network())) {
+    std::snprintf(buf, sizeof(buf),
+                  "table2 dataset=%d group=%d all_factors=%.17g "
+                  "polysemy=%.17g depth=%.17g density=%.17g "
+                  "rated_nodes=%d\n",
+                  row.dataset_id, row.group, row.all_factors, row.polysemy,
+                  row.depth, row.density, row.rated_nodes);
+    out += buf;
+  }
+  for (const eval::DatasetStatsRow& row :
+       eval::ComputeTable3(Corpus(), Network())) {
+    std::snprintf(buf, sizeof(buf),
+                  "table3 dataset=%d group=%d docs=%d avg_nodes=%.17g "
+                  "avg_polysemy=%.17g max_polysemy=%d avg_depth=%.17g "
+                  "max_depth=%d avg_fan_out=%.17g max_fan_out=%d "
+                  "avg_density=%.17g max_density=%d\n",
+                  row.info.id, row.info.group, row.info.doc_count,
+                  row.avg_nodes, row.avg_polysemy, row.max_polysemy,
+                  row.avg_depth, row.max_depth, row.avg_fan_out,
+                  row.max_fan_out, row.avg_density, row.max_density);
+    out += buf;
+  }
+  return out;
+}
+
+/// Byte-compares `report` against the golden at `path`, or rewrites the
+/// golden when XSDF_UPDATE_GOLDEN is set.
+void ExpectMatchesGolden(const char* path, const std::string& report) {
   if (std::getenv("XSDF_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath, std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << kGoldenPath;
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
     out << report;
     ASSERT_TRUE(out.good());
-    std::printf("golden rewritten: %s\n", kGoldenPath);
+    std::printf("golden rewritten: %s\n", path);
     return;
   }
-  std::ifstream in(kGoldenPath, std::ios::binary);
-  ASSERT_TRUE(in) << kGoldenPath
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << path
                   << " missing; run with XSDF_UPDATE_GOLDEN=1 to create";
   std::ostringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(report, golden.str())
-      << "accuracy drifted from the golden report; if the change is "
-         "intentional, regenerate with XSDF_UPDATE_GOLDEN=1 and review "
-         "the diff";
+      << path << " drifted; if the change is intentional, regenerate "
+      << "with XSDF_UPDATE_GOLDEN=1 and review the diff";
+}
+
+TEST(AccuracyRegressionTest, MatchesGolden) {
+  ExpectMatchesGolden(kGoldenPath, BuildReport());
+}
+
+TEST(AccuracyRegressionTest, EvalTablesMatchGolden) {
+  ExpectMatchesGolden(kTablesGoldenPath, BuildTablesReport());
 }
 
 // Sanity floor independent of the golden bytes: the paper hybrid must

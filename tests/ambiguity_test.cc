@@ -1,8 +1,9 @@
 // Tests for the ambiguity degree (paper §3.3): Propositions 1-3,
 // Assumptions 1-4, the Definition 3 ratio, the compound special case,
-// threshold-based target selection, and the id pipeline's memoized
-// Eq. 1 / id-based density checked bit for bit against the string
-// definitions.
+// and threshold-based target selection, all on the id path the
+// disambiguator runs (labels interned into a LabelSpace, Eq. 1 read
+// from its per-label memo); plus that path checked bit for bit
+// against the string definitions of tests/ambiguity_oracle.h.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "ambiguity_oracle.h"
 #include "core/ambiguity.h"
 #include "core/disambiguator.h"
 #include "core/label_space.h"
@@ -39,6 +41,40 @@ const SemanticNetwork& Network() {
     return new SemanticNetwork(std::move(result).value());
   }();
   return *network;
+}
+
+/// The label space every test tree below is interned through.
+LabelSpace& Space() {
+  static LabelSpace* space = new LabelSpace(&Network());
+  return *space;
+}
+
+/// `tree` with every label interned through Space().
+LabeledTree Interned(LabeledTree tree) {
+  for (NodeId id = 0; id < static_cast<NodeId>(tree.size()); ++id) {
+    tree.set_label_id(id, Space().Resolve(tree.node(id).label));
+  }
+  return tree;
+}
+
+/// Amb_Deg of `id` as target selection computes it: Amb_Polysemy read
+/// from the label-id memo.
+double Degree(const LabeledTree& tree, NodeId id,
+              const AmbiguityWeights& weights = {}) {
+  LabeledTree interned = Interned(tree);
+  return AmbiguityDegreeFromPolysemy(
+      interned, id, Space().Senses(interned.label_id(id)).polysemy, weights);
+}
+
+/// Disambiguator::SelectTargets on the interned tree.
+std::vector<NodeId> SelectTargets(const LabeledTree& tree, double threshold,
+                                  const AmbiguityWeights& weights = {}) {
+  DisambiguatorOptions options;
+  options.ambiguity_threshold = threshold;
+  options.ambiguity_weights = weights;
+  options.label_space = &Space();
+  Disambiguator system(&Network(), options);
+  return system.SelectTargets(Interned(tree));
 }
 
 /// Figure 5.a-style tree: picture with several distinct children.
@@ -129,14 +165,13 @@ TEST(AmbiguityDegreeTest, Figure5Intuition) {
   for (int i = 0; i < 4; ++i) {
     tree.AddNode(poor, "star", TreeNodeKind::kElement);
   }
-  EXPECT_LT(AmbiguityDegree(tree, rich, Network()),
-            AmbiguityDegree(tree, poor, Network()));
+  EXPECT_LT(Degree(tree, rich), Degree(tree, poor));
 }
 
 TEST(AmbiguityDegreeTest, RangeAndAssumption4) {
   LabeledTree tree = RichTree();
   for (const auto& node : tree.nodes()) {
-    double degree = AmbiguityDegree(tree, node.id, Network());
+    double degree = Degree(tree, node.id);
     EXPECT_GE(degree, 0.0);
     EXPECT_LE(degree, 1.0);
   }
@@ -144,7 +179,7 @@ TEST(AmbiguityDegreeTest, RangeAndAssumption4) {
   // regardless of structure (Assumption 4).
   LabeledTree mono;
   mono.AddNode(kInvalidNode, "wheelchair", TreeNodeKind::kElement);
-  EXPECT_DOUBLE_EQ(AmbiguityDegree(mono, 0, Network()), 0.0);
+  EXPECT_DOUBLE_EQ(Degree(mono, 0), 0.0);
 }
 
 TEST(AmbiguityDegreeTest, PolysemyWeightZeroDisables) {
@@ -152,8 +187,7 @@ TEST(AmbiguityDegreeTest, PolysemyWeightZeroDisables) {
   AmbiguityWeights weights;
   weights.polysemy = 0.0;
   for (const auto& node : tree.nodes()) {
-    EXPECT_DOUBLE_EQ(AmbiguityDegree(tree, node.id, Network(), weights),
-                     0.0);
+    EXPECT_DOUBLE_EQ(Degree(tree, node.id, weights), 0.0);
   }
 }
 
@@ -163,21 +197,18 @@ TEST(AmbiguityDegreeTest, DepthWeightRaisesShallowNodes) {
   AmbiguityWeights depth_off{1.0, 0.0, 0.0};
   // Eq. 4's denominator grows with (1 - Amb_Depth); for the root
   // (Amb_Depth = 1) the depth term vanishes, so both configs agree.
-  EXPECT_NEAR(AmbiguityDegree(tree, 0, Network(), depth_on),
-              AmbiguityDegree(tree, 0, Network(), depth_off), 1e-12);
+  EXPECT_NEAR(Degree(tree, 0, depth_on), Degree(tree, 0, depth_off), 1e-12);
   // For a deep node the depth term penalizes (deep = less ambiguous).
-  EXPECT_LT(AmbiguityDegree(tree, 3, Network(), depth_on),
-            AmbiguityDegree(tree, 3, Network(), depth_off));
+  EXPECT_LT(Degree(tree, 3, depth_on), Degree(tree, 3, depth_off));
 }
 
-TEST(AverageAmbiguityTest, EmptyTreeIsZero) {
-  LabeledTree tree;
-  EXPECT_DOUBLE_EQ(AverageAmbiguityDegree(tree, Network()), 0.0);
+TEST(SelectTargetsTest, EmptyTreeSelectsNothing) {
+  EXPECT_TRUE(SelectTargets(LabeledTree(), 0.0).empty());
 }
 
 TEST(SelectTargetsTest, ThresholdZeroSelectsAllSenseBearing) {
   LabeledTree tree = RichTree();
-  auto targets = SelectTargetNodes(tree, Network(), 0.0);
+  auto targets = SelectTargets(tree, 0.0);
   // Every label of RichTree is in the lexicon.
   EXPECT_EQ(targets.size(), tree.size());
 }
@@ -185,14 +216,14 @@ TEST(SelectTargetsTest, ThresholdZeroSelectsAllSenseBearing) {
 TEST(SelectTargetsTest, SenselessLabelsNeverSelected) {
   LabeledTree tree;
   tree.AddNode(kInvalidNode, "zzunknownzz", TreeNodeKind::kElement);
-  EXPECT_TRUE(SelectTargetNodes(tree, Network(), 0.0).empty());
+  EXPECT_TRUE(SelectTargets(tree, 0.0).empty());
 }
 
 TEST(SelectTargetsTest, ThresholdMonotone) {
   LabeledTree tree = RichTree();
   size_t previous = tree.size() + 1;
   for (double threshold : {0.0, 0.01, 0.05, 0.2, 0.9}) {
-    auto targets = SelectTargetNodes(tree, Network(), threshold);
+    auto targets = SelectTargets(tree, threshold);
     EXPECT_LE(targets.size(), previous);
     previous = targets.size();
   }
@@ -202,8 +233,8 @@ TEST(SelectTargetsTest, HighThresholdKeepsOnlyMostAmbiguous) {
   LabeledTree tree = PoorTree();
   // picture (5 senses, root, low density) should outrank star children
   // once thresholded near its own degree.
-  double root_degree = AmbiguityDegree(tree, 0, Network());
-  auto targets = SelectTargetNodes(tree, Network(), root_degree);
+  double root_degree = Degree(tree, 0);
+  auto targets = SelectTargets(tree, root_degree);
   ASSERT_FALSE(targets.empty());
   EXPECT_EQ(targets[0], 0);
 }
@@ -277,10 +308,13 @@ TEST(IdAmbiguityTest, DegreeAndTargetsMatchIdLessTree) {
       for (const xml::TreeNode& node : without_ids->nodes()) {
         ASSERT_EQ(with_ids->DistinctChildLabelCount(node.id),
                   without_ids->DistinctChildLabelCount(node.id));
-        const double expected =
-            AmbiguityDegree(*without_ids, node.id, Network(), weights);
-        ASSERT_EQ(Bits(AmbiguityDegree(*with_ids, node.id, Network(),
-                                       weights)),
+        const double expected = testing::StringAmbiguityDegree(
+            *without_ids, node.id, Network(), weights);
+        const double polysemy =
+            system.label_space()->Senses(with_ids->label_id(node.id))
+                .polysemy;
+        ASSERT_EQ(Bits(AmbiguityDegreeFromPolysemy(*with_ids, node.id,
+                                                   polysemy, weights)),
                   Bits(expected))
             << node.label;
         auto assignment = system.DisambiguateNode(*with_ids, node.id);
@@ -290,7 +324,8 @@ TEST(IdAmbiguityTest, DegreeAndTargetsMatchIdLessTree) {
         }
       }
       EXPECT_EQ(system.SelectTargets(*with_ids),
-                SelectTargetNodes(*without_ids, Network(), 0.0, weights));
+                testing::StringSelectTargets(*without_ids, Network(), 0.0,
+                                             weights));
       // Selection reads label ids only; an id-less tree selects nothing.
       EXPECT_TRUE(system.SelectTargets(*without_ids).empty());
     }
@@ -306,7 +341,8 @@ TEST(IdAmbiguityTest, DegreeAndTargetsMatchIdLessTree) {
       auto without_ids = BuildTreeStreaming(doc, Network());
       ASSERT_TRUE(with_ids.ok() && without_ids.ok());
       EXPECT_EQ(system.SelectTargets(*with_ids),
-                SelectTargetNodes(*without_ids, Network(), threshold))
+                testing::StringSelectTargets(*without_ids, Network(),
+                                             threshold, AmbiguityWeights{}))
           << threshold;
     }
   }

@@ -27,11 +27,13 @@
 #include "common/simd.h"
 #include "datasets/generator.h"
 #include "runtime/engine.h"
+#include "same_bytes.h"
 #include "sim/combined.h"
 #include "sim/conceptual_density.h"
 #include "sim/measure.h"
 #include "sim/measure_config.h"
 #include "sim/wu_palmer.h"
+#include "sim_oracles.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace xsdf {
@@ -164,9 +166,8 @@ TEST(ConceptualDensityConformanceTest, TableMatchesLegacyWalkOracle) {
   const SemanticNetwork& network = Network();
   sim::ConceptualDensityMeasure measure;
   for (const auto& [a, b] : SamplePairs()) {
-    EXPECT_EQ(
-        Bits(measure.Similarity(network, a, b)),
-        Bits(sim::ConceptualDensityMeasure::LegacySimilarity(network, a, b)))
+    EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
+              Bits(testing::legacy::ConceptualDensity(network, a, b)))
         << "table path diverges from the walk oracle on (" << a << ","
         << b << ")";
   }
@@ -182,8 +183,8 @@ TEST(ConceptualDensityConformanceTest, SharedInstanceIsThreadSafe) {
   std::vector<uint64_t> expected;
   expected.reserve(pairs.size());
   for (const auto& [a, b] : pairs) {
-    expected.push_back(Bits(
-        sim::ConceptualDensityMeasure::LegacySimilarity(network, a, b)));
+    expected.push_back(
+        Bits(testing::legacy::ConceptualDensity(network, a, b)));
   }
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -290,7 +291,7 @@ TEST(MeasureEngineConformanceTest, WorkersByteIdenticalPerConfig) {
     std::vector<std::string> eight = RunEngine(config, 8);
     ASSERT_EQ(one.size(), eight.size()) << config.ToSpec();
     for (size_t i = 0; i < one.size(); ++i) {
-      EXPECT_EQ(one[i], eight[i])
+      EXPECT_TRUE(testing::SameBytes(one[i], eight[i]))
           << config.ToSpec() << " differs on document " << i
           << " between 1 and 8 workers";
     }

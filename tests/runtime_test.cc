@@ -24,10 +24,16 @@
 #include "runtime/sense_inventory_cache.h"
 #include "runtime/sharded_lru_cache.h"
 #include "runtime/similarity_cache.h"
+#include "same_bytes.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace xsdf::runtime {
 namespace {
+
+/// The fingerprint of the paper hybrid, the default engine composition.
+uint64_t HybridFingerprint() {
+  return SimilarityCache::ConfigFingerprint(sim::MeasureConfig::PaperHybrid());
+}
 
 const wordnet::SemanticNetwork& Network() {
   static const wordnet::SemanticNetwork* network = [] {
@@ -108,7 +114,7 @@ TEST(SimilarityCacheTest, EvictsDeterministicallyWhenASetOverflows) {
   // readable value correct (a stale value for a key is impossible —
   // the mixed key is bijective, so a slot's key identifies its value).
   SimilarityCache cache(/*capacity=*/1, /*stripe_count=*/2,
-                        sim::SimilarityWeights{});
+                        HybridFingerprint());
   constexpr uint64_t kKeys = 1024;
   for (uint64_t k = 1; k <= kKeys; ++k) {
     cache.Insert(k, static_cast<double>(k) * 0.5);
@@ -241,7 +247,7 @@ TEST(BoundedJobQueueTest, BlockingProducersAndConsumersDeliverAll) {
 
 TEST(SimilarityCacheTest, RoundTripsThroughHookInterface) {
   SimilarityCache cache(/*capacity=*/128, /*shard_count=*/4,
-                        sim::SimilarityWeights{});
+                        HybridFingerprint());
   sim::SimilarityCacheHook* hook = &cache;
   double value = 0.0;
   EXPECT_FALSE(hook->Lookup(42, &value));
@@ -251,15 +257,6 @@ TEST(SimilarityCacheTest, RoundTripsThroughHookInterface) {
   CacheStats stats = cache.GetStats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
-}
-
-TEST(SimilarityCacheTest, WeightFingerprintsDistinguishConfigs) {
-  sim::SimilarityWeights thirds{};
-  sim::SimilarityWeights edge_only{1.0, 0.0, 0.0};
-  EXPECT_NE(SimilarityCache::WeightsFingerprint(thirds),
-            SimilarityCache::WeightsFingerprint(edge_only));
-  EXPECT_EQ(SimilarityCache::WeightsFingerprint(thirds),
-            SimilarityCache::WeightsFingerprint(sim::SimilarityWeights{}));
 }
 
 // Regression for the pre-registry fingerprint, which hashed only the
@@ -332,14 +329,15 @@ TEST(EngineTest, MeasureConfigChangesOutputAndCacheKeys) {
   // fingerprinted, so rerunning under the same config is stable.
   auto hybrid_again = hybrid_engine.RunBatch(jobs);
   ASSERT_TRUE(hybrid_again[0].ok);
-  EXPECT_EQ(hybrid_again[0].semantic_xml, hybrid_results[0].semantic_xml);
+  EXPECT_TRUE(testing::SameBytes(hybrid_results[0].semantic_xml,
+                                 hybrid_again[0].semantic_xml));
 }
 
 TEST(SimilarityCacheTest, MeasureUsesExternalCache) {
   const auto& network = Network();
-  sim::CombinedMeasure measure;
+  sim::CombinedMeasure measure(sim::MeasureConfig::PaperHybrid());
   SimilarityCache cache(/*capacity=*/1024, /*shard_count=*/4,
-                        measure.weights());
+                        SimilarityCache::ConfigFingerprint(measure.config()));
   measure.set_external_cache(&cache);
   auto star = network.Senses("star");
   ASSERT_GE(star.size(), 2u);
@@ -462,14 +460,17 @@ TEST(DisambiguationEngineTest, OneAndEightWorkersAreByteIdentical) {
   std::vector<std::string> eight = RunWithThreads(8, /*caches_on=*/true);
   ASSERT_EQ(one.size(), eight.size());
   for (size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i], eight[i]) << "document " << i;
+    EXPECT_TRUE(testing::SameBytes(one[i], eight[i])) << "document " << i;
   }
 }
 
 TEST(DisambiguationEngineTest, CachesDoNotChangeResults) {
   std::vector<std::string> on = RunWithThreads(4, /*caches_on=*/true);
   std::vector<std::string> off = RunWithThreads(4, /*caches_on=*/false);
-  EXPECT_EQ(on, off);
+  ASSERT_EQ(on.size(), off.size());
+  for (size_t i = 0; i < on.size(); ++i) {
+    EXPECT_TRUE(testing::SameBytes(on[i], off[i])) << "document " << i;
+  }
 }
 
 TEST(DisambiguationEngineTest, MatchesSingleThreadedLibraryPath) {
@@ -481,8 +482,8 @@ TEST(DisambiguationEngineTest, MatchesSingleThreadedLibraryPath) {
   for (size_t i = 0; i < jobs.size(); ++i) {
     auto semantic_tree = disambiguator.RunOnXml(jobs[i].xml);
     ASSERT_TRUE(semantic_tree.ok()) << jobs[i].name;
-    EXPECT_EQ(engine_trees[i],
-              core::SemanticTreeToXml(*semantic_tree, Network()))
+    EXPECT_TRUE(testing::SameBytes(
+        core::SemanticTreeToXml(*semantic_tree, Network()), engine_trees[i]))
         << jobs[i].name;
   }
 }
@@ -551,8 +552,8 @@ TEST(SimilarityCacheTest, ContendedWritersSurfaceRetryAndCollisionCounts) {
   // contention. The counters are statistical, so loop rounds until
   // both are nonzero — bounded so a pathological scheduler fails the
   // test instead of hanging it.
-  sim::SimilarityWeights weights;
-  SimilarityCache cache(/*capacity=*/64, /*stripe_count=*/4, weights);
+  SimilarityCache cache(/*capacity=*/64, /*stripe_count=*/4,
+                        HybridFingerprint());
   constexpr int kWriters = 4;
   constexpr int kReaders = 2;
   constexpr int kOpsPerRound = 4000;
@@ -605,8 +606,8 @@ TEST(SimilarityCacheTest, ContendedWritersSurfaceRetryAndCollisionCounts) {
 }
 
 TEST(SimilarityCacheTest, UncontendedTrafficReportsZeroContention) {
-  sim::SimilarityWeights weights;
-  SimilarityCache cache(/*capacity=*/1024, /*stripe_count=*/4, weights);
+  SimilarityCache cache(/*capacity=*/1024, /*stripe_count=*/4,
+                        HybridFingerprint());
   double value = 0.0;
   for (uint64_t key = 1; key <= 200; ++key) {
     cache.Insert(key, 1.5);
@@ -626,8 +627,8 @@ TEST(SimilarityCacheTest, StatsStayExactWithMoreThreadsThanStripes) {
   // concurrent adds from several threads. Each lookup must still be
   // counted once, and as a hit exactly when it returned one — through
   // Lookup() and through LookupBatch()'s one flush per batch alike.
-  sim::SimilarityWeights weights;
-  SimilarityCache cache(/*capacity=*/1 << 12, /*stripe_count=*/2, weights);
+  SimilarityCache cache(/*capacity=*/1 << 12, /*stripe_count=*/2,
+                        HybridFingerprint());
   constexpr uint64_t kKeys = 256;
   for (uint64_t key = 1; key <= kKeys; ++key) {
     cache.Insert(key, static_cast<double>(key) * 0.5);
@@ -802,7 +803,8 @@ TEST(DisambiguationEngineTest, SinksDoNotChangeResults) {
   ASSERT_EQ(results.size(), plain.size());
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok) << results[i].name;
-    EXPECT_EQ(results[i].semantic_xml, plain[i]) << "document " << i;
+    EXPECT_TRUE(testing::SameBytes(plain[i], results[i].semantic_xml))
+        << "document " << i;
   }
 }
 

@@ -116,7 +116,7 @@ TEST(EnumerateCandidatesTest, CompoundWithOneSenselessToken) {
 TEST(ConceptScoreTest, RangeAndDiscrimination) {
   LabeledTree tree = MovieTree();
   IdSphere sphere = XmlSphere(tree, 3, 2);  // around first "star"
-  sim::CombinedMeasure measure;
+  sim::CombinedMeasure measure(sim::MeasureConfig::PaperHybrid());
   double performer = ConceptScore(
       measure, {Key("star.performer.n"), wordnet::kInvalidConcept}, sphere);
   double celestial = ConceptScore(
@@ -133,7 +133,7 @@ TEST(ConceptScoreTest, EmptySphereScoresZero) {
   tree.AddNode(kInvalidNode, "star", TreeNodeKind::kElement);
   tree = WithIds(std::move(tree));
   IdSphere sphere = XmlSphere(tree, 0, 2);  // only the center
-  sim::CombinedMeasure measure;
+  sim::CombinedMeasure measure(sim::MeasureConfig::PaperHybrid());
   EXPECT_DOUBLE_EQ(
       ConceptScore(measure,
                    {Key("star.performer.n"), wordnet::kInvalidConcept},
@@ -144,7 +144,7 @@ TEST(ConceptScoreTest, EmptySphereScoresZero) {
 TEST(ConceptScoreTest, CompoundCandidateAveragesPair) {
   LabeledTree tree = MovieTree();
   IdSphere sphere = XmlSphere(tree, 3, 2);
-  sim::CombinedMeasure measure;
+  sim::CombinedMeasure measure(sim::MeasureConfig::PaperHybrid());
   SenseCandidate compound{Key("movie.n"), Key("star.performer.n")};
   double score = ConceptScore(measure, compound, sphere);
   EXPECT_GT(score, 0.0);

@@ -1,8 +1,9 @@
 // Equivalence tests for the interned id-based similarity kernels: the
 // precomputed tables (token interner, gloss token sequences/bags,
 // ancestor arrays, IC table) must reproduce the legacy string-path
-// scores *bit for bit* on randomized concept pairs, and the batch
-// runtime built on top must stay byte-identical across worker counts.
+// scores of tests/sim_oracles.h *bit for bit* on randomized concept
+// pairs, and the batch runtime built on top must stay byte-identical
+// across worker counts.
 
 #include <gtest/gtest.h>
 
@@ -14,17 +15,21 @@
 
 #include "common/token_interner.h"
 #include "runtime/engine.h"
+#include "same_bytes.h"
 #include "sim/combined.h"
 #include "sim/gloss_overlap.h"
 #include "sim/lin.h"
+#include "sim/measure_config.h"
 #include "sim/resnik.h"
 #include "sim/wu_palmer.h"
+#include "sim_oracles.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/semantic_network.h"
 
 namespace xsdf {
 namespace {
 
+namespace legacy = testing::legacy;
 using wordnet::ConceptId;
 using wordnet::SemanticNetwork;
 
@@ -104,7 +109,7 @@ TEST(SemanticNetworkTest, GlossTokensSpellOutTheLegacyExtendedGloss) {
   for (ConceptId id = 0; id < static_cast<ConceptId>(network.size());
        ++id) {
     std::vector<std::string> legacy =
-        sim::GlossOverlapMeasure::ExtendedGloss(network, id);
+        legacy::ExtendedGloss(network, id);
     auto tokens = network.GlossTokens(id);
     ASSERT_EQ(tokens.size(), legacy.size()) << "concept " << id;
     for (size_t i = 0; i < tokens.size(); ++i) {
@@ -123,7 +128,7 @@ TEST(KernelEquivalenceTest, WuPalmerIsBitIdenticalToLegacy) {
   sim::WuPalmerMeasure measure;
   for (auto [a, b] : SamplePairs(400)) {
     EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
-              Bits(sim::WuPalmerMeasure::LegacySimilarity(network, a, b)))
+              Bits(legacy::WuPalmer(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
@@ -133,7 +138,7 @@ TEST(KernelEquivalenceTest, ResnikIsBitIdenticalToLegacy) {
   sim::ResnikMeasure measure;
   for (auto [a, b] : SamplePairs(400)) {
     EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
-              Bits(sim::ResnikMeasure::LegacySimilarity(network, a, b)))
+              Bits(legacy::Resnik(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
@@ -143,7 +148,7 @@ TEST(KernelEquivalenceTest, LinIsBitIdenticalToLegacy) {
   sim::LinMeasure measure;
   for (auto [a, b] : SamplePairs(400)) {
     EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
-              Bits(sim::LinMeasure::LegacySimilarity(network, a, b)))
+              Bits(legacy::Lin(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
@@ -152,26 +157,24 @@ TEST(KernelEquivalenceTest, GlossOverlapIsBitIdenticalToLegacy) {
   const SemanticNetwork& network = Network();
   sim::GlossOverlapMeasure measure;
   for (auto [a, b] : SamplePairs(400)) {
-    EXPECT_EQ(
-        Bits(measure.Similarity(network, a, b)),
-        Bits(sim::GlossOverlapMeasure::LegacySimilarity(network, a, b)))
+    EXPECT_EQ(Bits(measure.Similarity(network, a, b)),
+              Bits(legacy::GlossOverlap(network, a, b)))
         << "pair (" << a << ", " << b << ")";
   }
 }
 
 TEST(KernelEquivalenceTest, CombinedIsBitIdenticalToLegacySum) {
   const SemanticNetwork& network = Network();
-  sim::SimilarityWeights weights;  // equal thirds, the paper default
-  sim::CombinedMeasure measure(weights);
+  // Equal thirds, the paper default.
+  sim::CombinedMeasure measure(sim::MeasureConfig::PaperHybrid());
+  const double third = 1.0 / 3.0;
   for (auto [a, b] : SamplePairs(400)) {
-    // Same component order (edge, node, gloss) as CombinedMeasure.
-    double legacy =
-        weights.edge * sim::WuPalmerMeasure::LegacySimilarity(network, a, b) +
-        weights.node * sim::LinMeasure::LegacySimilarity(network, a, b) +
-        weights.gloss *
-            sim::GlossOverlapMeasure::LegacySimilarity(network, a, b);
-    if (legacy > 1.0) legacy = 1.0;
-    EXPECT_EQ(Bits(measure.Similarity(network, a, b)), Bits(legacy))
+    // Same component order (edge, node, gloss) as PaperHybrid().
+    double sum = third * legacy::WuPalmer(network, a, b) +
+                 third * legacy::Lin(network, a, b) +
+                 third * legacy::GlossOverlap(network, a, b);
+    if (sum > 1.0) sum = 1.0;
+    EXPECT_EQ(Bits(measure.Similarity(network, a, b)), Bits(sum))
         << "pair (" << a << ", " << b << ")";
   }
 }
@@ -198,7 +201,8 @@ TEST(BatchDeterminismTest, EightWorkersMatchOneWorkerByteForByte) {
   ASSERT_EQ(one.size(), eight.size());
   for (size_t i = 0; i < one.size(); ++i) {
     EXPECT_TRUE(one[i].ok);
-    EXPECT_EQ(one[i].semantic_xml, eight[i].semantic_xml) << "doc " << i;
+    EXPECT_TRUE(testing::SameBytes(one[i].semantic_xml, eight[i].semantic_xml))
+        << "doc " << i;
   }
 }
 

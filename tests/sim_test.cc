@@ -6,14 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/combined.h"
 #include "sim/gloss_overlap.h"
 #include "sim/lin.h"
 #include "sim/measure.h"
+#include "sim/measure_config.h"
 #include "sim/resnik.h"
 #include "sim/wu_palmer.h"
+#include "sim_oracles.h"
 #include "wordnet/mini_wordnet.h"
 
 namespace xsdf::sim {
@@ -108,27 +114,37 @@ TEST(GlossOverlapTest, IdenticalConceptsScoreOne) {
 
 TEST(GlossOverlapTest, PhraseOverlapScoreSquaresPhraseLength) {
   // One shared 3-token phrase scores 9; three scattered shared tokens
-  // score 3.
-  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScore(
+  // score 3. The id kernel and the string oracle agree.
+  const std::vector<uint32_t> abcx = {1, 2, 3, 9};
+  const std::vector<uint32_t> yabc = {8, 1, 2, 3};
+  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScoreIds(abcx, yabc),
+                   9.0);
+  EXPECT_DOUBLE_EQ(testing::legacy::PhraseOverlapScore(
                        {"a", "b", "c", "x"}, {"y", "a", "b", "c"}),
                    9.0);
-  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScore(
+  const std::vector<uint32_t> aqbrc = {1, 4, 2, 5, 3};
+  const std::vector<uint32_t> csatb = {3, 6, 1, 7, 2};
+  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScoreIds(aqbrc, csatb),
+                   3.0);
+  EXPECT_DOUBLE_EQ(testing::legacy::PhraseOverlapScore(
                        {"a", "q", "b", "r", "c"},
                        {"c", "s", "a", "t", "b"}),
                    3.0);
-  EXPECT_DOUBLE_EQ(
-      GlossOverlapMeasure::PhraseOverlapScore({"a"}, {"b"}), 0.0);
-  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScore({}, {"b"}),
-                   0.0);
+  const std::vector<uint32_t> a = {1};
+  const std::vector<uint32_t> b = {2};
+  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScoreIds(a, b), 0.0);
+  EXPECT_DOUBLE_EQ(GlossOverlapMeasure::PhraseOverlapScoreIds({}, b), 0.0);
+  EXPECT_DOUBLE_EQ(testing::legacy::PhraseOverlapScore({"a"}, {"b"}), 0.0);
+  EXPECT_DOUBLE_EQ(testing::legacy::PhraseOverlapScore({}, {"b"}), 0.0);
 }
 
 TEST(GlossOverlapTest, ExtendedGlossIncludesRelatedGlosses) {
   // The extended gloss of movie.n should mention tokens from its
   // hyponyms/hypernyms (e.g. "documentary" gloss words), not only its
   // own.
-  auto gloss = GlossOverlapMeasure::ExtendedGloss(Network(),
-                                                  Key("movie.n"));
+  auto gloss = testing::legacy::ExtendedGloss(Network(), Key("movie.n"));
   EXPECT_GT(gloss.size(), 20u);
+  EXPECT_EQ(Network().GlossTokens(Key("movie.n")).size(), gloss.size());
 }
 
 TEST(GlossOverlapTest, RelatedConceptsOverlapMore) {
@@ -163,15 +179,11 @@ TEST(ResnikTest, SubsumerOnlyNotLemmaDepths) {
   EXPECT_GT(a, 0.0);
 }
 
-TEST(CombinedTest, WeightsValidate) {
-  SimilarityWeights equal;
-  EXPECT_TRUE(equal.Valid());
-  SimilarityWeights bad{0.5, 0.5, 0.5};
-  EXPECT_FALSE(bad.Valid());
-  SimilarityWeights negative{-0.5, 1.0, 0.5};
-  EXPECT_FALSE(negative.Valid());
-  SimilarityWeights edge_only{1.0, 0.0, 0.0};
-  EXPECT_TRUE(edge_only.Valid());
+TEST(CombinedTest, PaperHybridWeightsValidate) {
+  EXPECT_TRUE(MeasureConfig::PaperHybrid().Validate().ok());
+  EXPECT_FALSE(MeasureConfig::PaperHybrid(0.5, 0.5, 0.5).Validate().ok());
+  EXPECT_FALSE(MeasureConfig::PaperHybrid(-0.5, 1.0, 0.5).Validate().ok());
+  EXPECT_TRUE(MeasureConfig::PaperHybrid(1.0, 0.0, 0.0).Validate().ok());
 }
 
 TEST(CombinedTest, EqualsWeightedSumOfComponents) {
@@ -181,7 +193,7 @@ TEST(CombinedTest, EqualsWeightedSumOfComponents) {
   WuPalmerMeasure edge;
   LinMeasure node;
   GlossOverlapMeasure gloss;
-  CombinedMeasure combined(SimilarityWeights{0.5, 0.3, 0.2});
+  CombinedMeasure combined(MeasureConfig::PaperHybrid(0.5, 0.3, 0.2));
   double expected = 0.5 * edge.Similarity(network, a, b) +
                     0.3 * node.Similarity(network, a, b) +
                     0.2 * gloss.Similarity(network, a, b);
@@ -189,7 +201,7 @@ TEST(CombinedTest, EqualsWeightedSumOfComponents) {
 }
 
 TEST(CombinedTest, CachesSymmetrically) {
-  CombinedMeasure measure;
+  CombinedMeasure measure(MeasureConfig::PaperHybrid());
   const SemanticNetwork& network = Network();
   ConceptId a = Key("actor.n");
   ConceptId b = Key("movie.n");
@@ -202,10 +214,11 @@ TEST(CombinedTest, CachesSymmetrically) {
   EXPECT_EQ(measure.CacheSize(), 0u);
 }
 
-TEST(CombinedTest, FromRegistryComposesByName) {
-  auto combined = CombinedMeasure::FromRegistry(
-      {{"wu-palmer", 0.5}, {"gloss-overlap", 0.5}});
-  ASSERT_TRUE(combined.ok());
+TEST(CombinedTest, ConfigComposesByName) {
+  MeasureConfig config;
+  config.entries = {{"wu-palmer", 0.5}, {"gloss-overlap", 0.5}};
+  ASSERT_TRUE(config.Validate().ok());
+  CombinedMeasure combined(config);
   const SemanticNetwork& network = Network();
   ConceptId a = Key("actor.n");
   ConceptId b = Key("actress.n");
@@ -213,15 +226,20 @@ TEST(CombinedTest, FromRegistryComposesByName) {
   GlossOverlapMeasure gloss;
   double expected = 0.5 * edge.Similarity(network, a, b) +
                     0.5 * gloss.Similarity(network, a, b);
-  EXPECT_NEAR((*combined)->Similarity(network, a, b), expected, 1e-12);
+  EXPECT_NEAR(combined.Similarity(network, a, b), expected, 1e-12);
+  EXPECT_EQ(combined.config(), config);
 }
 
-TEST(CombinedTest, FromRegistryRejectsBadInput) {
-  EXPECT_FALSE(CombinedMeasure::FromRegistry({{"wu-palmer", 0.7}}).ok());
-  EXPECT_FALSE(
-      CombinedMeasure::FromRegistry({{"no-such", 1.0}}).ok());
-  EXPECT_FALSE(
-      CombinedMeasure::FromRegistry({{"lin", -1.0}, {"lin", 2.0}}).ok());
+TEST(CombinedTest, ValidateRejectsWhatTheConstructorCannotBuild) {
+  auto invalid = [](std::vector<std::pair<std::string, double>> entries) {
+    MeasureConfig config;
+    config.entries = std::move(entries);
+    return !config.Validate().ok();
+  };
+  EXPECT_TRUE(invalid({{"wu-palmer", 0.7}}));
+  EXPECT_TRUE(invalid({{"no-such", 1.0}}));
+  EXPECT_TRUE(invalid({{"lin", -1.0}, {"lin", 2.0}}));
+  EXPECT_TRUE(invalid({}));
 }
 
 TEST(MeasureRegistryTest, BuiltInsPresent) {
@@ -352,20 +370,23 @@ TEST(MeasureConfigTest, FingerprintSeparatesCompositions) {
   EXPECT_NE(ab.Fingerprint(), ba.Fingerprint());
   EXPECT_EQ(ab.Fingerprint(),
             MeasureConfig::Parse("wu-palmer:0.5,lin:0.5")->Fingerprint());
-  // The weights shorthand and its explicit config agree.
-  SimilarityWeights thirds;
-  EXPECT_EQ(thirds.ToConfig().Fingerprint(), hybrid.Fingerprint());
 }
 
-TEST(MeasureConfigTest, CombinedFromConfigMatchesWeightsPath) {
+TEST(MeasureConfigTest, PaperHybridIsTheThreeComponentSumBitForBit) {
   const SemanticNetwork& network = Network();
-  CombinedMeasure by_weights{SimilarityWeights{}};
-  CombinedMeasure by_config{MeasureConfig::PaperHybrid()};
+  CombinedMeasure hybrid(MeasureConfig::PaperHybrid());
+  const double third = 1.0 / 3.0;
   ConceptId a = Key("actor.n");
   ConceptId b = Key("actress.n");
-  EXPECT_DOUBLE_EQ(by_weights.Similarity(network, a, b),
-                   by_config.Similarity(network, a, b));
-  EXPECT_EQ(by_config.config().ToSpec(), by_weights.config().ToSpec());
+  // Edge, node, gloss: the component order of Definition 9.
+  double expected = third * WuPalmerMeasure().Similarity(network, a, b) +
+                    third * LinMeasure().Similarity(network, a, b) +
+                    third * GlossOverlapMeasure().Similarity(network, a, b);
+  if (expected > 1.0) expected = 1.0;
+  EXPECT_EQ(hybrid.Similarity(network, a, b), expected);
+  EXPECT_EQ(hybrid.config().ToSpec(),
+            "wu-palmer:0.3333333333333333,lin:0.3333333333333333,"
+            "gloss-overlap:0.3333333333333333");
 }
 
 }  // namespace

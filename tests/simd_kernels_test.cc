@@ -301,7 +301,7 @@ TEST(SimdEquivalenceTest, EveryMeasureIsBitIdenticalAcrossLevels) {
   // values across levels.
   ExpectBitIdenticalAcrossLevels(
       [&network, &pairs] {
-        sim::CombinedMeasure combined;
+        sim::CombinedMeasure combined(sim::MeasureConfig::PaperHybrid());
         std::vector<double> values;
         values.reserve(pairs.size());
         for (auto [a, b] : pairs) {
@@ -398,9 +398,10 @@ TEST(SimdEquivalenceTest, OovOnlySpheresCompareCleanly) {
 }
 
 TEST(SimilarityCacheTest, LookupBatchMatchesLookupLoopIncludingStats) {
-  sim::SimilarityWeights weights;
-  runtime::SimilarityCache batch_cache(1 << 10, 4, weights);
-  runtime::SimilarityCache loop_cache(1 << 10, 4, weights);
+  const uint64_t fingerprint = runtime::SimilarityCache::ConfigFingerprint(
+      sim::MeasureConfig::PaperHybrid());
+  runtime::SimilarityCache batch_cache(1 << 10, 4, fingerprint);
+  runtime::SimilarityCache loop_cache(1 << 10, 4, fingerprint);
   std::mt19937 rng(20150324);
   std::uniform_int_distribution<uint64_t> key_pick(1, 500);
   std::vector<uint64_t> inserted;

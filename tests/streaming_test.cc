@@ -20,6 +20,7 @@
 #include "core/tree_builder.h"
 #include "datasets/generator.h"
 #include "labeled_tree_oracle.h"
+#include "same_bytes.h"
 #include "obs/metrics.h"
 #include "prop/generators.h"
 #include "runtime/engine.h"
@@ -234,7 +235,7 @@ TEST(StreamingEngineTest, WorkerCountsAgreeByteForByte) {
   std::vector<std::string> output = RunEngine(options, jobs);
   ASSERT_EQ(output.size(), reference.size());
   for (size_t i = 0; i < output.size(); ++i) {
-    ASSERT_EQ(output[i], reference[i]) << jobs[i].name;
+    ASSERT_TRUE(testing::SameBytes(reference[i], output[i])) << jobs[i].name;
   }
 }
 
@@ -265,7 +266,7 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
 
   ASSERT_EQ(solo_output.size(), 1u);
   ASSERT_EQ(pool_output.size(), 1u);
-  EXPECT_EQ(solo_output[0], pool_output[0]);
+  EXPECT_TRUE(testing::SameBytes(solo_output[0], pool_output[0]));
   EXPECT_GT(stats.subtree_parallel_docs, 0u);
   EXPECT_GT(stats.frontend_peak_bytes, 0u);
   // The fanned write is one serialize sample, the owner's wall time:
@@ -286,7 +287,7 @@ TEST(StreamingEngineTest, SubtreeStealingPreservesBytesOnGiantDocument) {
   runtime::EngineStats serial_stats;
   std::vector<std::string> serial_output =
       RunEngine(serial, jobs, &serial_stats);
-  EXPECT_EQ(serial_output[0], pool_output[0]);
+  EXPECT_TRUE(testing::SameBytes(serial_output[0], pool_output[0]));
   EXPECT_EQ(serial_stats.subtree_parallel_docs, 0u);
 }
 

